@@ -3,9 +3,7 @@ set of analytic error bounds, sample-size conditions, and the Monte Carlo
 harness that checks them at desk scale."""
 
 from .bounds import (
-    CHERNOFF,
     BoundReport,
-    ChernoffConstants,
     ConditionReport,
     averaged_pairwise_bound,
     chain_log_bound,

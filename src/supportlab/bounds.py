@@ -26,6 +26,7 @@ from .model import (
     SparsityPattern,
     build_projector,
     pattern_difference,
+    residual_energy,
 )
 
 # Optimal constants for the quadratic-form Chernoff exponent: the rate
@@ -34,16 +35,6 @@ from .model import (
 CHERNOFF_C = (3.0 - 2.0 * math.sqrt(2.0)) / 2.0
 CHERNOFF_T_STAR = (1.0 - math.sqrt(2.0) / 2.0) / 2.0
 CHERNOFF_MIN = math.sqrt(2.0) - 1.5
-
-
-@dataclass(frozen=True)
-class ChernoffConstants:
-    c: float = CHERNOFF_C
-    t_star: float = CHERNOFF_T_STAR
-    min_value: float = CHERNOFF_MIN
-
-
-CHERNOFF = ChernoffConstants()
 
 
 @dataclass(frozen=True)
@@ -111,9 +102,7 @@ def projection_energy(
     if len(diff) == 0:
         return 0.0
     v = design.submatrix(diff) @ signal.values_on(diff)
-    proj_f = build_projector(design, f_pattern)
-    resid = v - proj_f.apply(v)
-    return float(resid @ resid)
+    return residual_energy(build_projector(design, f_pattern), v)
 
 
 def _check_support_pair(design, signal, t_pattern, f_pattern):

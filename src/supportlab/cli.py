@@ -4,8 +4,8 @@ Subcommands: decode, bound {pairwise,averaged,union-sum,union-closed,mgf},
 conditions, mc {pairwise,recover}, sweep, verify.  Indices are 1-based at
 this boundary (and 0-based everywhere inside the library).  All outputs are
 deterministic given the config and seed: JSON is emitted with sorted keys,
-CSV with a fixed documented header, and the worker count cannot change any
-byte.
+CSV with a fixed documented header.  ``--workers`` is accepted and validated
+but changes neither output nor speed: trials always run serially.
 
 Exit codes: 0 success, 1 check/assertion failure, 2 usage/validation error.
 """
@@ -14,16 +14,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import bounds, montecarlo
+from . import bounds, montecarlo, rng
 from .decoder import DEFAULT_CANDIDATE_BUDGET, decode_exhaustive
-from .errors import SupportLabError
+from .errors import SupportLabError, ValidationError
 from .model import (
     DesignMatrix,
     ProblemInstance,
@@ -68,8 +70,19 @@ def parse_index_list(text: str) -> list[int]:
     return out
 
 
+def finite_float(text: str) -> float:
+    """The one float parser at this boundary: NaN and infinities are rejected."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValidationError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def parse_float_list(text: str) -> list[float]:
-    return [float(s) for s in text.replace(" ", "").split(",") if s]
+    return [finite_float(s) for s in text.replace(" ", "").split(",") if s]
 
 
 def parse_int_list(text: str) -> list[int]:
@@ -85,7 +98,17 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def _json_text(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+    return json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _read_json(path: str):
+    """Parse a JSON input file; a missing, unreadable or malformed file, or a
+    non-finite number in it, is a usage error naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, parse_float=finite_float, parse_constant=finite_float)
+    except (OSError, ValueError) as exc:
+        raise SupportLabError(f"cannot read {path}: {exc}") from None
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -146,14 +169,17 @@ def save_instance(path: str, instance: ProblemInstance) -> None:
 
 
 def load_instance(path: str) -> ProblemInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        record = json.load(fh)
-    design = DesignMatrix(entries=np.array(record["design"], dtype=float))
-    support = make_pattern([i - 1 for i in record["support"]], design.p)
-    signal = SparseSignal(pattern=support, values=np.array(record["values"], dtype=float))
-    return ProblemInstance(
-        design=design, signal=signal, observation=np.array(record["observation"], dtype=float)
-    )
+    record = _read_json(path)
+    try:
+        design = DesignMatrix(entries=np.array(record["design"], dtype=float))
+        support = make_pattern([i - 1 for i in record["support"]], design.p)
+        signal = SparseSignal(pattern=support, values=np.array(record["values"], dtype=float))
+        return ProblemInstance(
+            design=design, signal=signal,
+            observation=np.array(record["observation"], dtype=float),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SupportLabError(f"malformed instance {path}: {exc!r}") from None
 
 
 # ----------------------------------------------------------------- commands
@@ -167,7 +193,10 @@ def cmd_decode(args) -> int:
     record = {
         "declared_support": one_based(result.pattern.indices),
         "score": result.score,
-        "runner_up_score": result.runner_up_score,
+        # No runner-up exists when p == k; JSON has no infinity.
+        "runner_up_score": (
+            result.runner_up_score if math.isfinite(result.runner_up_score) else None
+        ),
         "candidates_scored": result.candidates_scored,
         "true_support": one_based(instance.true_pattern.indices),
         "recovered": result.pattern.indices == instance.true_pattern.indices,
@@ -257,7 +286,7 @@ def _conditions_grid_rows(args) -> list[list]:
             parts = text.split(":")
             if len(parts) != 3:
                 raise SupportLabError(f"--point needs p:k:beta_min_sq, got {text!r}")
-            points.append((int(parts[0]), int(parts[1]), float(parts[2])))
+            points.append((int(parts[0]), int(parts[1]), finite_float(parts[2])))
     for p, k, b2 in points:
         try:
             rep = bounds.condition_report(p, k, b2, C=args.C, variant=args.variant)
@@ -332,16 +361,14 @@ def _mc_row(spec: montecarlo.ExperimentSpec, result, error: Optional[str]) -> li
 
 def cmd_mc_pairwise(args) -> int:
     spec = _spec_from_args(args, montecarlo.TARGET_PAIRWISE)
-    result = montecarlo.run_pairwise(spec, workers=args.workers)
+    result = montecarlo.run_pairwise(spec)
     _emit_table(args, MC_CSV_HEADER, [_mc_row(spec, result, None)])
     return 0
 
 
 def cmd_mc_recover(args) -> int:
     spec = _spec_from_args(args, montecarlo.TARGET_RECOVERY)
-    result = montecarlo.run_full_recovery(
-        spec, workers=args.workers, max_candidates=args.cap_candidates
-    )
+    result = montecarlo.run_full_recovery(spec, max_candidates=args.cap_candidates)
     _emit_table(args, MC_CSV_HEADER, [_mc_row(spec, result, None)])
     return 0
 
@@ -359,17 +386,11 @@ def cmd_sweep(args) -> int:
             changes["beta_min"] = float(v)
         else:
             raise SupportLabError(f"--vary must be one of n,p,k,trials,beta_min, got {args.vary!r}")
-        specs.append(montecarlo.ExperimentSpec(**{**_spec_dict(base), **changes}))
-    rows = montecarlo.sweep(specs, workers=args.workers)
+        specs.append(dataclasses.replace(base, **changes))
+    rows = montecarlo.sweep(specs)
     csv_rows = [_mc_row(row.spec, row.result, row.error) for row in rows]
     _emit_table(args, MC_CSV_HEADER, csv_rows)
     return 0
-
-
-def _spec_dict(spec: montecarlo.ExperimentSpec) -> dict:
-    from dataclasses import asdict
-
-    return asdict(spec)
 
 
 def cmd_verify(args) -> int:
@@ -401,7 +422,8 @@ def _add_common(sp, *, out=True, seed=True, workers=False, cap=False):
         sp.add_argument("--seed", type=int, default=0, help="master seed (64-bit)")
     if workers:
         sp.add_argument("--workers", type=int, default=1,
-                        help="worker count; never changes any output byte")
+                        help="accepted for compatibility (>= 1); trials run serially, "
+                             "so it changes neither output nor speed")
     if cap:
         sp.add_argument("--cap-candidates", type=int, default=DEFAULT_CANDIDATE_BUDGET,
                         help="enumeration budget for exhaustive decoding")
@@ -411,7 +433,7 @@ def _add_instance_params(sp, wrong=False):
     sp.add_argument("--n", type=int, required=False, default=8)
     sp.add_argument("--p", type=int, required=False, default=10)
     sp.add_argument("--k", type=int, required=False, default=2)
-    sp.add_argument("--beta-min", type=float, default=1.0, dest="beta_min")
+    sp.add_argument("--beta-min", type=finite_float, default=1.0, dest="beta_min")
     sp.add_argument("--beta", help="explicit signal values, comma separated")
     sp.add_argument("--support", help="true support, 1-based comma separated")
     if wrong:
@@ -450,7 +472,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--miss-energy", type=float, required=True, dest="miss_energy")
+    sp.add_argument("--miss-energy", type=finite_float, required=True, dest="miss_energy")
     sp.set_defaults(func=cmd_bound_averaged)
     registry[("bound", "averaged")] = sp
 
@@ -459,7 +481,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--beta-min-sq", type=float, required=True, dest="beta_min_sq")
+    sp.add_argument("--beta-min-sq", type=finite_float, required=True, dest="beta_min_sq")
     sp.set_defaults(func=cmd_bound_union_sum)
     registry[("bound", "union-sum")] = sp
 
@@ -468,15 +490,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--beta-min-sq", type=float, required=True, dest="beta_min_sq")
-    sp.add_argument("--C", type=float, default=9.0)
+    sp.add_argument("--beta-min-sq", type=finite_float, required=True, dest="beta_min_sq")
+    sp.add_argument("--C", type=finite_float, default=9.0)
     sp.set_defaults(func=cmd_bound_union_closed)
     registry[("bound", "union-closed")] = sp
 
     sp = bsubs.add_parser("mgf", help="exact log-MGF of the decision statistic")
     _add_common(sp)
     _add_instance_params(sp, wrong=True)
-    sp.add_argument("--t", type=float, required=True)
+    sp.add_argument("--t", type=finite_float, required=True)
     sp.set_defaults(func=cmd_bound_mgf)
     registry[("bound", "mgf")] = sp
 
@@ -487,7 +509,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--regime", choices=sorted(bounds.REGIMES),
                     help="Table-style scaling row; expands over --p-grid")
     sp.add_argument("--p-grid", dest="p_grid", help="comma separated p values")
-    sp.add_argument("--C", type=float, default=9.0)
+    sp.add_argument("--C", type=finite_float, default=9.0)
     sp.add_argument("--variant", choices=["proof", "statement", "corollary"],
                     default="proof")
     sp.set_defaults(func=cmd_conditions)
@@ -503,7 +525,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--design-mode", choices=["fixed", "fresh"], default="fixed",
                     dest="design_mode")
     sp.add_argument("--noiseless", action="store_true")
-    sp.add_argument("--level", type=float, default=0.95)
+    sp.add_argument("--level", type=finite_float, default=0.95)
     sp.set_defaults(func=cmd_mc_pairwise)
     registry[("mc", "pairwise")] = sp
 
@@ -514,7 +536,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--random-support", action="store_true", dest="random_support",
                     help="draw a fresh true support each trial")
     sp.add_argument("--noiseless", action="store_true")
-    sp.add_argument("--level", type=float, default=0.95)
+    sp.add_argument("--level", type=finite_float, default=0.95)
     sp.set_defaults(func=cmd_mc_recover, design_mode="fresh")
     registry[("mc", "recover")] = sp
 
@@ -527,7 +549,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                     dest="design_mode")
     sp.add_argument("--trials", type=int, default=2_000)
     sp.add_argument("--noiseless", action="store_true")
-    sp.add_argument("--level", type=float, default=0.95)
+    sp.add_argument("--level", type=finite_float, default=0.95)
     sp.add_argument("--vary", required=True, help="parameter to sweep: n,p,k,trials,beta_min")
     sp.add_argument("--values", required=True, help="comma separated sweep values")
     sp.set_defaults(func=cmd_sweep)
@@ -564,21 +586,28 @@ def _prescan_config(argv: list[str]) -> Optional[str]:
     return None
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+def _check_args(args) -> None:
+    """Checks that hold before any work is done."""
+    if getattr(args, "workers", 1) < 1:
+        raise ValidationError(f"--workers must be >= 1, got {args.workers}")
+    if getattr(args, "seed", None) is not None:
+        rng.check_seed(args.seed)
+
+
+def _run(argv: list[str]) -> int:
     parser, registry = build_parser()
 
     config_path = _prescan_config(argv)
     config_command: Optional[tuple] = None
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _read_json(config_path)
+        if not isinstance(data, dict):
+            raise SupportLabError(f"config {config_path} is not a JSON object")
         params = data.get("params", {})
         config_command = tuple(data.get("command", ()))
         sub = registry.get(config_command)
         if sub is None:
-            print(f"error: config names unknown command {list(config_command)}", file=sys.stderr)
-            return 2
+            raise SupportLabError(f"config names unknown command {list(config_command)}")
         supplied = {}
         for action in sub._actions:
             if action.dest in params and action.dest not in _HOUSEKEEPING:
@@ -588,19 +617,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     if config_command is not None and _command_path(args) != config_command:
-        print(
-            f"error: config is for {list(config_command)}, not {list(_command_path(args))}",
-            file=sys.stderr,
+        raise SupportLabError(
+            f"config is for {list(config_command)}, not {list(_command_path(args))}"
         )
-        return 2
+    _check_args(args)
 
     if args.emit_config:
         params = {k: v for k, v in vars(args).items() if k not in _HOUSEKEEPING}
         with open(args.emit_config, "w", encoding="utf-8") as fh:
             fh.write(_json_text({"command": list(_command_path(args)), "params": params}))
 
+    return args.func(args)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        return args.func(args)
+        return _run(list(sys.argv[1:] if argv is None else argv))
     except SupportLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,17 +13,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BudgetError, ValidationError
-from .model import (
-    DEFAULT_RANK_TOLERANCE,
-    ProblemInstance,
-    SparsityPattern,
-    build_projector,
-    pattern_count,
-    residual_energy,
-)
+from .model import ProblemInstance, SparsityPattern, column_space_basis, pattern_count
 
 #: Desk-scale guardrail: exhaustive decoding is exponential in k.
 DEFAULT_CANDIDATE_BUDGET = 5_000_000
@@ -43,8 +34,9 @@ def score_support(instance: ProblemInstance, pattern: SparsityPattern) -> float:
         raise ValidationError(
             f"candidate support size {len(pattern)} != k={instance.k}"
         )
-    proj = build_projector(instance.design, pattern)
-    return residual_energy(proj, instance.observation)
+    if pattern.p != instance.p:
+        raise ValidationError(f"pattern ambient {pattern.p} != design p {instance.p}")
+    return _score_columns(instance.design.entries, pattern.indices, instance.observation)
 
 
 def decode_exhaustive(
@@ -92,17 +84,9 @@ def decode_exhaustive(
 
 
 def _score_columns(entries, combo, y) -> float:
-    """Residual energy for one candidate; same arithmetic as score_support
-    (SVD basis truncated at the rank tolerance), minus the object plumbing."""
-    if not combo:
-        return float(y @ y)
-    sub = entries[:, list(combo)]
-    scale = float(np.max(np.linalg.norm(sub, axis=0)))
-    if scale == 0.0:
-        return float(y @ y)
-    u, s, _ = np.linalg.svd(sub, full_matrices=False)
-    r = int(np.sum(s > DEFAULT_RANK_TOLERANCE * scale))
-    basis = u[:, :r]
+    """Residual energy ||y - Pi y||^2 against the span of columns ``combo``:
+    the one scoring kernel, shared by the decoder loop and score_support."""
+    basis = column_space_basis(entries[:, list(combo)])
     resid = y - basis @ (basis.T @ y)
     return float(resid @ resid)
 

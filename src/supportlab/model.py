@@ -1,9 +1,8 @@
 """Problem instances for noisy sparse linear observations y = X beta + eps.
 
-Types here are immutable after construction and safe to share across
-concurrent workers.  All storage is double precision: the bounds computed
-downstream span hundreds of orders of magnitude and single precision
-underflows.
+Types here are immutable after construction.  All storage is double
+precision: the bounds computed downstream span hundreds of orders of
+magnitude and single precision underflows.
 """
 
 from __future__ import annotations
@@ -273,27 +272,33 @@ class Projector:
         return self.basis @ self.basis.T
 
 
+def column_space_basis(
+    sub: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOLERANCE
+) -> np.ndarray:
+    """Orthonormal basis of col(sub) via thin SVD, truncated at the rank tolerance.
+
+    Singular values at or below ``rank_tolerance`` times the largest column
+    norm are dropped, so duplicate or dependent columns span only the
+    numerically spanned subspace.  An empty or all-zero submatrix has rank 0.
+    """
+    scale = float(np.max(np.linalg.norm(sub, axis=0), initial=0.0))
+    if scale == 0.0:
+        return np.zeros((sub.shape[0], 0))
+    u, s, _ = np.linalg.svd(sub, full_matrices=False)
+    r = int(np.sum(s > rank_tolerance * scale))
+    return u[:, :r]
+
+
 def build_projector(
     design: DesignMatrix,
     pattern: SparsityPattern,
     rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
 ) -> Projector:
-    """Orthonormal basis of col(X_F) via SVD, truncated at the rank tolerance.
+    """Projector onto col(X_F), held as the ``column_space_basis`` of X_F.
 
-    Rank deficiency (duplicate or dependent columns) is handled by projecting
-    onto the numerically spanned subspace; the cutoff is relative to the
-    largest column norm of X_F.  The empty pattern yields the zero projector.
+    The empty pattern yields the zero projector.
     """
-    if len(pattern) == 0:
-        return Projector(basis=np.zeros((design.n, 0)))
-    sub = design.submatrix(pattern)
-    col_norms = np.linalg.norm(sub, axis=0)
-    scale = float(np.max(col_norms))
-    if scale == 0.0:
-        return Projector(basis=np.zeros((design.n, 0)))
-    u, s, _ = np.linalg.svd(sub, full_matrices=False)
-    r = int(np.sum(s > rank_tolerance * scale))
-    return Projector(basis=u[:, :r])
+    return Projector(basis=column_space_basis(design.submatrix(pattern), rank_tolerance))
 
 
 def residual_energy(projector: Projector, v: np.ndarray) -> float:

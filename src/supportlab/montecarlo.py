@@ -2,9 +2,9 @@
 
 Each trial draws its noise (and, in fresh-design mode, its matrix) from a
 counter-based stream keyed by (master_seed, kind, trial index), so the
-per-trial outcome is a pure function of the experiment spec.  Error counts
-are integers aggregated commutatively: worker count and scheduling cannot
-change any result.
+per-trial outcome is a pure function of the experiment spec.  Trials run
+serially, in index order, on one path; a run of N trials is a prefix of a
+run of N + M trials.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from statistics import NormalDist
 from typing import Optional, Sequence
@@ -175,7 +174,21 @@ def pairwise_trial_outcomes(spec: ExperimentSpec) -> np.ndarray:
     spec.validate()
     if spec.target != TARGET_PAIRWISE:
         raise ValidationError("spec target is not pairwise")
-    return _pairwise_slice(spec, 0, spec.trials)
+    t_patt = spec.true_support()
+    f_patt = spec.wrong_support()
+    signal = spec.signal_on(t_patt)
+    out = np.zeros(spec.trials, dtype=bool)
+    for i in range(spec.trials):
+        # Fixed-design mode draws design 0 once; fresh mode draws design i.
+        if i == 0 or spec.design_mode == DESIGN_FRESH:
+            design = _fresh_design(spec, i)
+            qt = build_projector(design, t_patt).basis
+            qf = build_projector(design, f_patt).basis
+            mean = design.submatrix(t_patt) @ signal.values
+        y = mean + _noise(spec, i)
+        z = float(np.sum((qf.T @ y) ** 2) - np.sum((qt.T @ y) ** 2))
+        out[i] = z > 0.0
+    return out
 
 
 def recovery_trial_outcomes(
@@ -191,60 +204,15 @@ def recovery_trial_outcomes(
             f"each decode scores C({spec.p},{spec.k}) = {total} candidates, "
             f"exceeding the budget of {max_candidates}"
         )
-    return _recovery_slice(spec, 0, spec.trials)
-
-
-def _chunked(spec: ExperimentSpec, slice_fn, workers: int) -> np.ndarray:
-    """Assemble per-trial outcomes, optionally over parallel chunks.
-
-    Streams are keyed per trial, so any partition of [0, trials) replays the
-    exact same trials; results are placed by index, making the output a pure
-    function of the spec.
-    """
-    if workers <= 1 or spec.trials < 2 * workers:
-        return slice_fn(spec, 0, spec.trials)
-    edges = np.linspace(0, spec.trials, workers + 1).astype(int)
-    pieces = [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
     out = np.zeros(spec.trials, dtype=bool)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for (lo, _), res in zip(pieces, pool.map(lambda piece: slice_fn(spec, *piece), pieces)):
-            out[lo : lo + len(res)] = res
-    return out
-
-
-def _pairwise_slice(spec: ExperimentSpec, lo: int, hi: int) -> np.ndarray:
-    t_patt = spec.true_support()
-    f_patt = spec.wrong_support()
-    signal = spec.signal_on(t_patt)
-    out = np.zeros(hi - lo, dtype=bool)
-    fixed = spec.design_mode == DESIGN_FIXED
-    if fixed:
-        design = _fresh_design(spec, 0)
-        qt = build_projector(design, t_patt).basis
-        qf = build_projector(design, f_patt).basis
-        mean = design.submatrix(t_patt) @ signal.values
-    for j, i in enumerate(range(lo, hi)):
-        if not fixed:
-            design = _fresh_design(spec, i)
-            qt = build_projector(design, t_patt).basis
-            qf = build_projector(design, f_patt).basis
-            mean = design.submatrix(t_patt) @ signal.values
-        y = mean + _noise(spec, i)
-        z = float(np.sum((qf.T @ y) ** 2) - np.sum((qt.T @ y) ** 2))
-        out[j] = z > 0.0
-    return out
-
-
-def _recovery_slice(spec: ExperimentSpec, lo: int, hi: int) -> np.ndarray:
-    out = np.zeros(hi - lo, dtype=bool)
-    for j, i in enumerate(range(lo, hi)):
+    for i in range(spec.trials):
         t_patt = _random_support(spec, i) if spec.random_true_pattern else spec.true_support()
         signal = spec.signal_on(t_patt)
         design = _fresh_design(spec, i)
         y = design.submatrix(t_patt) @ signal.values + _noise(spec, i)
         inst = ProblemInstance(design=design, signal=signal, observation=y)
         decoded = decode_exhaustive(inst)
-        out[j] = decoded.pattern.indices != t_patt.indices
+        out[i] = decoded.pattern.indices != t_patt.indices
     return out
 
 
@@ -256,12 +224,11 @@ def _attach_bound(spec: ExperimentSpec) -> float:
             design = _fresh_design(spec, 0)
             report = pairwise_conditional_bound(design, spec.signal_on(t_patt), t_patt, f_patt)
         else:
-            d = len(pattern_difference(t_patt, f_patt))
-            if d == 0:
+            diff = pattern_difference(t_patt, f_patt)
+            if len(diff) == 0:
                 return 1.0
-            miss = float(np.sum(spec.signal_on(t_patt).values_on(
-                pattern_difference(t_patt, f_patt)) ** 2))
-            report = averaged_pairwise_bound(spec.n, spec.k, d, miss)
+            miss = float(np.sum(spec.signal_on(t_patt).values_on(diff) ** 2))
+            report = averaged_pairwise_bound(spec.n, spec.k, len(diff), miss)
         return report.probability
     if spec.p == spec.k:
         return 0.0  # no wrong support exists
@@ -282,35 +249,21 @@ def _finish(spec: ExperimentSpec, outcomes: np.ndarray) -> TrialBatchResult:
     )
 
 
-def run_pairwise(spec: ExperimentSpec, workers: int = 1) -> TrialBatchResult:
+def run_pairwise(spec: ExperimentSpec) -> TrialBatchResult:
     """Count trials with Z_F > 0; attach the matching analytic bound.
 
     Fixed-design mode reuses one seeded matrix (the bound is conditional on
     it); fresh-design mode draws a new matrix per trial (the bound is the
     design-averaged one).
     """
-    spec.validate()
-    if spec.target != TARGET_PAIRWISE:
-        raise ValidationError("spec target is not pairwise")
-    outcomes = _chunked(spec, _pairwise_slice, workers)
-    return _finish(spec, outcomes)
+    return _finish(spec, pairwise_trial_outcomes(spec))
 
 
 def run_full_recovery(
-    spec: ExperimentSpec, workers: int = 1, max_candidates: int = DEFAULT_CANDIDATE_BUDGET
+    spec: ExperimentSpec, max_candidates: int = DEFAULT_CANDIDATE_BUDGET
 ) -> TrialBatchResult:
     """Decode exhaustively per trial and count declared != true support."""
-    spec.validate()
-    if spec.target != TARGET_RECOVERY:
-        raise ValidationError("spec target is not recovery")
-    total = pattern_count(spec.p, spec.k)
-    if total > max_candidates:
-        raise BudgetError(
-            f"each decode scores C({spec.p},{spec.k}) = {total} candidates, "
-            f"exceeding the budget of {max_candidates}"
-        )
-    outcomes = _chunked(spec, _recovery_slice, workers)
-    return _finish(spec, outcomes)
+    return _finish(spec, recovery_trial_outcomes(spec, max_candidates))
 
 
 @dataclass(frozen=True)
@@ -320,16 +273,16 @@ class SweepRow:
     error: Optional[str]
 
 
-def sweep(specs: Sequence[ExperimentSpec], workers: int = 1) -> list[SweepRow]:
+def sweep(specs: Sequence[ExperimentSpec]) -> list[SweepRow]:
     """One result row per grid point, in grid order; invalid points are
     reported per-row and the sweep continues."""
     rows: list[SweepRow] = []
     for spec in specs:
         try:
             if spec.target == TARGET_PAIRWISE:
-                res = run_pairwise(spec, workers=workers)
+                res = run_pairwise(spec)
             else:
-                res = run_full_recovery(spec, workers=workers)
+                res = run_full_recovery(spec)
             rows.append(SweepRow(spec=spec, result=res, error=None))
         except (ValidationError, BudgetError) as exc:
             rows.append(SweepRow(spec=spec, result=None, error=str(exc)))

@@ -96,7 +96,7 @@ def test_c06_conditional_bound_domination():
             n=8, p=12, k=2, trials=100_000, master_seed=SEED, target="pairwise",
             design_mode="fixed", beta_min=1.0, wrong_pattern=wrong, level=0.99,
         )
-        result = run_pairwise(spec, workers=4)
+        result = run_pairwise(spec)
         ok = ok and result.wilson_low <= result.bound_value
         details.append(f"d={2 - len(set(wrong) & {0, 1})}: "
                        f"low={result.wilson_low:.4f} bound={result.bound_value:.4f}")
@@ -110,7 +110,7 @@ def test_c07_averaged_bound_domination():
         n=12, p=6, k=1, trials=10_000, master_seed=SEED, target="pairwise",
         design_mode="fresh", beta_min=1.0, wrong_pattern=(1,), level=0.99,
     )
-    result = run_pairwise(spec, workers=4)
+    result = run_pairwise(spec)
     dominated = result.wilson_low <= result.bound_value
     mgf = check_chi_square_mgf(SEED, samples=1_000_000, dof=11)
     report(7, "averaged-bound-domination", dominated and mgf.passed,
@@ -123,7 +123,7 @@ def test_c08_union_bound_domination_and_closed_form():
         n=40, p=12, k=2, trials=10_000, master_seed=SEED, target="recovery",
         design_mode="fresh", beta_min=1.0, level=0.99,
     )
-    result = run_full_recovery(spec, workers=4)
+    result = run_full_recovery(spec)
     dominated = result.wilson_low <= result.bound_value
 
     gen = rng.stream(SEED, 400)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from supportlab.bounds import (
-    CHERNOFF,
     CHERNOFF_C,
+    CHERNOFF_MIN,
     CHERNOFF_T_STAR,
     REGIMES,
     averaged_pairwise_bound,
@@ -52,10 +52,10 @@ def random_pair(gen, n_max=24, k_max=3):
 
 
 def test_chernoff_constants_identities():
-    t = CHERNOFF.t_star
-    assert abs(2 * t * t / (1 - 2 * t) - t - CHERNOFF.min_value) < 1e-14
-    assert abs(CHERNOFF.c + CHERNOFF.min_value) < 1e-14
-    assert abs(CHERNOFF.c - (3 - 2 * math.sqrt(2)) / 2) < 1e-16
+    t = CHERNOFF_T_STAR
+    assert abs(2 * t * t / (1 - 2 * t) - t - CHERNOFF_MIN) < 1e-14
+    assert abs(CHERNOFF_C + CHERNOFF_MIN) < 1e-14
+    assert abs(CHERNOFF_C - (3 - 2 * math.sqrt(2)) / 2) < 1e-16
 
 
 def test_chernoff_rate_domain():

@@ -247,3 +247,126 @@ def test_verify_verbose_prints_residuals(capsys):
     out = capsys.readouterr().out
     assert "chernoff-constants" in out
     assert "worst" in out or "err" in out
+
+
+# ------------------------------------------------------- boundary validation
+
+
+def exit_code(args):
+    """main's return code, or argparse's exit code for a rejected flag value."""
+    try:
+        return run(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+MC_PAIRWISE = ["mc", "pairwise", "--n", "8", "--p", "10", "--k", "2", "--wrong", "2,3",
+               "--trials", "50"]
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("command", [
+    MC_PAIRWISE,
+    ["mc", "recover", "--n", "8", "--p", "6", "--k", "2", "--trials", "5"],
+    ["sweep", "--p", "10", "--k", "2", "--wrong", "2,3", "--trials", "50",
+     "--vary", "n", "--values", "8"],
+])
+def test_workers_below_one_is_a_usage_error(command, value, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert run(command + ["--workers", value, "--out", str(out)]) == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+@pytest.mark.parametrize("command", [
+    MC_PAIRWISE,
+    ["mc", "recover", "--n", "8", "--p", "6", "--k", "2", "--trials", "5"],
+    ["sweep", "--p", "10", "--k", "2", "--wrong", "2,3", "--trials", "50",
+     "--vary", "n", "--values", "8"],
+    ["decode", "--n", "8", "--p", "10", "--k", "2"],
+    ["bound", "pairwise", "--n", "8", "--p", "10", "--k", "2", "--wrong", "2,3"],
+    ["verify"],
+])
+def test_seed_outside_64_bits_is_a_usage_error(command, seed, capsys):
+    assert run(command + ["--seed", seed]) == 2
+    assert "master seed must be in [0, 2**64)" in capsys.readouterr().err
+
+
+def test_largest_64_bit_seed_is_accepted(tmp_path):
+    out = tmp_path / "d.json"
+    assert run(["decode", "--n", "8", "--p", "10", "--k", "2",
+                "--seed", "18446744073709551615", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["candidates_scored"] == 45
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_flag_is_a_usage_error(value, capsys):
+    args = ["bound", "union-sum", "--n", "40", "--p", "12", "--k", "2",
+            f"--beta-min-sq={value}"]
+    assert exit_code(args) == 2
+    err = capsys.readouterr().err
+    assert "--beta-min-sq" in err and value in err
+
+
+@pytest.mark.parametrize("args", [
+    ["conditions", "--point", "100:2:inf"],
+    ["conditions", "--point", "100:2:nan"],
+    ["decode", "--n", "8", "--p", "10", "--k", "2", "--beta", "1.0,nan"],
+    ["sweep", "--p", "10", "--k", "2", "--wrong", "2,3", "--trials", "50",
+     "--vary", "beta_min", "--values", "1.0,inf"],
+])
+def test_non_finite_list_and_point_values_are_usage_errors(args, capsys):
+    assert exit_code(args) == 2
+    captured = capsys.readouterr()
+    assert "expected a finite number" in captured.err
+    assert captured.out == ""
+
+
+def test_missing_instance_file_names_the_path(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    assert run(["decode", "--instance", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    '{"design": [[1.0, 2.0]], "support": [1]}',
+    '{"design": [[1.0, 2.0]], "support": [1], "values": [NaN], "observation": [1.0]}',
+    "[1, 2, 3]",
+])
+def test_malformed_instance_file_names_the_path(text, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run(["decode", "--instance", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_missing_config_file_names_the_path(tmp_path, capsys):
+    path = tmp_path / "missing_cfg.json"
+    assert run(["mc", "pairwise", "--config", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1]",
+                                  '{"command": ["bound", "union-sum"], '
+                                  '"params": {"n": 40, "p": 12, "k": 2, "beta_min_sq": NaN}}'])
+def test_malformed_config_file_names_the_path(text, tmp_path, capsys):
+    path = tmp_path / "bad_cfg.json"
+    path.write_text(text)
+    assert exit_code(["bound", "union-sum", "--config", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_decode_p_equals_k_emits_valid_json(tmp_path):
+    out = tmp_path / "d.json"
+    assert run(["decode", "--n", "6", "--p", "3", "--k", "3", "--seed", "2",
+                "--out", str(out)]) == 0
+    record = json.loads(out.read_text())  # strict parse: no Infinity literal
+    assert record["runner_up_score"] is None
+    assert "Infinity" not in out.read_text()
+
+
+def test_verify_seed_116_passes(capsys):
+    assert run(["verify", "--seed", "116"]) == 0
+    assert "9/9 checks passed" in capsys.readouterr().out

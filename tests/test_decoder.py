@@ -184,3 +184,62 @@ def test_pairwise_statistic_wrong_cardinality():
     inst = seeded_instance(SEED)
     with pytest.raises(ValidationError):
         pairwise_statistic(inst, make_pattern([1], 10))
+
+
+# ------------------------------------------------- rank-deficient designs
+
+
+def _lstsq_rss(inst, pattern):
+    xf = inst.design.submatrix(pattern)
+    theta = np.linalg.lstsq(xf, inst.observation, rcond=None)[0]
+    resid = inst.observation - xf @ theta
+    return float(resid @ resid)
+
+
+def _deficient_instance(seed, copy_from, copy_to, factor, support):
+    entries = np.array(gaussian_design(10, 6, seed=seed).entries)
+    entries[:, copy_to] = factor * entries[:, copy_from]
+    design = DesignMatrix(entries=entries)
+    sig = flat_signal(make_pattern(support, 6), 3.0)
+    y = synthesize_observation(design, sig, noise_seed=seed)
+    return ProblemInstance(design=design, signal=sig, observation=y)
+
+
+def _assert_matches_brute_force(inst, res):
+    rss = {f.indices: _lstsq_rss(inst, f) for f in enumerate_patterns(6, 2)}
+    ranked = sorted(rss.values())
+    tol = 1e-9 * max(1.0, ranked[0])
+    assert abs(res.score - ranked[0]) <= tol
+    assert abs(res.runner_up_score - ranked[1]) <= 1e-9 * max(1.0, ranked[1])
+    assert abs(rss[res.pattern.indices] - ranked[0]) <= tol
+    # Every candidate, including the rank-1 ones, scores as least squares does.
+    for f in enumerate_patterns(6, 2):
+        assert abs(score_support(inst, f) - rss[f.indices]) <= 1e-9 * max(1.0, rss[f.indices])
+    # score_support and the decoder loop share one kernel: identical bytes.
+    assert score_support(inst, res.pattern) == res.score
+
+
+def test_decode_duplicated_column_ties_break_lexicographically():
+    # Column 4 duplicates column 0 and T = {0, 5}: the candidates {0, 5} and
+    # {4, 5} have bit-identical submatrices, hence exactly equal scores.
+    for seed in range(10):
+        inst = _deficient_instance(seed, copy_from=0, copy_to=4, factor=1.0, support=[0, 5])
+        res = decode_exhaustive(inst)
+        _assert_matches_brute_force(inst, res)
+        assert res.pattern.indices == (0, 5)
+        assert res.runner_up_score == res.score
+        assert score_support(inst, make_pattern([4, 5], 6)) == res.score
+        # {0, 4} spans one dimension: the rank truncation keeps exactly one.
+        assert build_projector(inst.design, make_pattern([0, 4], 6)).rank == 1
+
+
+def test_decode_collinear_column_matches_least_squares():
+    # Column 3 is -2.5 times column 1 and T = {1, 2}: {1, 2} and {2, 3} span
+    # the same plane, so their scores agree to rounding.
+    for seed in range(10):
+        inst = _deficient_instance(seed, copy_from=1, copy_to=3, factor=-2.5, support=[1, 2])
+        res = decode_exhaustive(inst)
+        _assert_matches_brute_force(inst, res)
+        assert res.pattern.indices in ((1, 2), (2, 3))
+        assert abs(res.runner_up_score - res.score) <= 1e-9 * max(1.0, res.score)
+        assert build_projector(inst.design, make_pattern([1, 3], 6)).rank == 1
