@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .errors import DomainError, PreconditionError, ValidationError
 from .model import (
@@ -222,7 +221,7 @@ def union_error_bound_sum(n: int, p: int, k: int, beta_min_sq: float) -> BoundRe
             2.0 * CHERNOFF_C * d * beta_min_sq
         ) + 0.5 * d
         terms.append(log_term)
-    log_bound = float(logsumexp(np.array(terms)))
+    log_bound = _log_sum_exp(terms)
     return BoundReport.from_log(log_bound)
 
 
@@ -236,7 +235,20 @@ def _check_union_params(n: int, p: int, k: int, beta_min_sq: float) -> None:
 
 
 def _log_comb(a: int, b: int) -> float:
-    return float(gammaln(a + 1) - gammaln(b + 1) - gammaln(a - b + 1))
+    """log C(a, b); -inf (an empty count) when b lies outside [0, a]."""
+    if b < 0 or b > a:
+        return -math.inf
+    return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
+
+
+def _log_sum_exp(terms: Sequence[float]) -> float:
+    """log sum exp(terms), shifted by the largest term so nothing overflows."""
+    t = np.asarray(terms, dtype=float)
+    top_at = int(np.argmax(t))
+    top = float(t[top_at])
+    if top == -math.inf:
+        return top
+    return top + math.log1p(float(np.sum(np.exp(np.delete(t, top_at) - top))))
 
 
 def log_binomial(p: int, k: int) -> float:

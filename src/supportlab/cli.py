@@ -33,6 +33,7 @@ from .model import (
     flat_signal,
     gaussian_design,
     make_pattern,
+    pattern_difference,
     synthesize_observation,
 )
 from .verify import DEFAULT_VERIFY_SEED, run_all
@@ -63,7 +64,7 @@ def parse_index_list(text: str) -> list[int]:
     items = [s for s in text.replace(" ", "").split(",") if s]
     out = []
     for s in items:
-        i = int(s)
+        i = checked_int(s)
         if i < 1:
             raise SupportLabError(f"indices at the CLI are 1-based; got {i}")
         out.append(i - 1)
@@ -81,12 +82,28 @@ def finite_float(text: str) -> float:
     return value
 
 
+def checked_int(text: str) -> int:
+    """The one integer parser at this boundary: an integer literal, or a
+    finite number with an integral value ("8.0", "1e3"); "8.7" is rejected."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value.is_integer():  # also false for NaN and infinities
+        raise ValidationError(f"expected an integer, got {text!r}")
+    return int(value)
+
+
 def parse_float_list(text: str) -> list[float]:
     return [finite_float(s) for s in text.replace(" ", "").split(",") if s]
 
 
 def parse_int_list(text: str) -> list[int]:
-    return [int(s) for s in text.replace(" ", "").split(",") if s]
+    return [checked_int(s) for s in text.replace(" ", "").split(",") if s]
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -286,7 +303,7 @@ def _conditions_grid_rows(args) -> list[list]:
             parts = text.split(":")
             if len(parts) != 3:
                 raise SupportLabError(f"--point needs p:k:beta_min_sq, got {text!r}")
-            points.append((int(parts[0]), int(parts[1]), finite_float(parts[2])))
+            points.append((checked_int(parts[0]), checked_int(parts[1]), finite_float(parts[2])))
     for p, k, b2 in points:
         try:
             rep = bounds.condition_report(p, k, b2, C=args.C, variant=args.variant)
@@ -345,8 +362,10 @@ def _spec_from_args(args, target: str) -> montecarlo.ExperimentSpec:
 def _mc_row(spec: montecarlo.ExperimentSpec, result, error: Optional[str]) -> list:
     d = None
     if spec.target == montecarlo.TARGET_PAIRWISE and spec.wrong_pattern is not None:
-        t_set = set(spec.true_pattern if spec.true_pattern is not None else range(spec.k))
-        d = len(t_set - set(spec.wrong_pattern))
+        try:
+            d = len(pattern_difference(spec.true_support(), spec.wrong_support()))
+        except ValidationError:
+            pass  # an error row whose patterns are malformed has no deficit
     if result is None:
         return [spec.target, spec.design_mode, spec.n, spec.p, spec.k, spec.beta_min,
                 d, spec.master_seed, spec.level, spec.trials,
@@ -376,17 +395,13 @@ def cmd_mc_recover(args) -> int:
 def cmd_sweep(args) -> int:
     target = args.target
     base = _spec_from_args(args, target)
-    values = parse_float_list(args.values)
-    specs = []
-    for v in values:
-        changes: dict = {}
-        if args.vary in ("n", "p", "k", "trials"):
-            changes[args.vary] = int(v)
-        elif args.vary == "beta_min":
-            changes["beta_min"] = float(v)
-        else:
-            raise SupportLabError(f"--vary must be one of n,p,k,trials,beta_min, got {args.vary!r}")
-        specs.append(dataclasses.replace(base, **changes))
+    if args.vary in ("n", "p", "k", "trials"):
+        values: list = parse_int_list(args.values)
+    elif args.vary == "beta_min":
+        values = parse_float_list(args.values)
+    else:
+        raise SupportLabError(f"--vary must be one of n,p,k,trials,beta_min, got {args.vary!r}")
+    specs = [dataclasses.replace(base, **{args.vary: v}) for v in values]
     rows = montecarlo.sweep(specs)
     csv_rows = [_mc_row(row.spec, row.result, row.error) for row in rows]
     _emit_table(args, MC_CSV_HEADER, csv_rows)

@@ -97,6 +97,19 @@ class ExperimentSpec:
             raise ValidationError(
                 "full-recovery experiments average over the design: use design_mode='fresh'"
             )
+        if self.n <= self.k and self._bound_needs_n_above_k():
+            raise ValidationError(f"need n > k, got n={self.n}, k={self.k}")
+
+    def _bound_needs_n_above_k(self) -> bool:
+        """Whether the bound ``_attach_bound`` will evaluate is the union bound
+        (recovery with a wrong support to miss) or the design-averaged bound
+        (fresh-design pairwise with F != T); both need n > k."""
+        if self.target == TARGET_RECOVERY:
+            return self.p > self.k
+        if self.design_mode != DESIGN_FRESH:
+            return False
+        truth = self.true_pattern if self.true_pattern is not None else range(self.k)
+        return not set(truth) <= set(self.wrong_pattern)
 
     def true_support(self) -> SparsityPattern:
         idx = self.true_pattern if self.true_pattern is not None else tuple(range(self.k))

@@ -280,6 +280,17 @@ def test_union_sum_dominates_each_averaged_term():
             assert total >= single - 1e-12
 
 
+def test_union_sum_skips_empty_deficit_terms():
+    # p - k = 3 < k = 4: the d = 4 term counts C(3, 4) = 0 supports.
+    rep = union_error_bound_sum(20, 7, 4, 0.5)
+    direct = sum(
+        math.comb(4, d) * math.comb(3, d)
+        * math.exp(-8.0 * math.log1p(2 * CHERNOFF_C * d * 0.5) + 0.5 * d)
+        for d in range(1, 4)
+    )
+    assert rep.log_bound == pytest.approx(math.log(direct), rel=1e-13)
+
+
 def test_union_sum_validation():
     with pytest.raises(ValidationError):
         union_error_bound_sum(10, 2, 2, 1.0)

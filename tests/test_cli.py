@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -370,3 +371,35 @@ def test_decode_p_equals_k_emits_valid_json(tmp_path):
 def test_verify_seed_116_passes(capsys):
     assert run(["verify", "--seed", "116"]) == 0
     assert "9/9 checks passed" in capsys.readouterr().out
+
+
+def test_bound_preconditions_fail_before_any_trial(capsys):
+    # A million trials would take minutes; the n > k check must come first.
+    start = time.perf_counter()
+    assert run(["mc", "recover", "--n", "2", "--p", "4", "--k", "3",
+                "--trials", "1000000"]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert "need n > k, got n=2, k=3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, value", [
+    (["conditions", "--point", "100:x:1"], "'x'"),
+    (["conditions", "--point", "100.5:2:1"], "'100.5'"),
+    (["conditions", "--regime", "sublinear_unit", "--p-grid", "64,1.5"], "'1.5'"),
+    (["decode", "--support", "1,two"], "'two'"),
+    (["sweep", "--p", "10", "--k", "2", "--wrong", "2,3", "--trials", "50",
+      "--vary", "n", "--values", "8.7"], "'8.7'"),
+])
+def test_non_integer_values_are_usage_errors(args, value, capsys):
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert f"expected an integer, got {value}" in captured.err
+    assert captured.out == ""
+
+
+def test_sweep_accepts_integral_number_spellings(tmp_path):
+    out = tmp_path / "s.csv"
+    assert run(["sweep", "--p", "10", "--k", "2", "--wrong", "2,3", "--trials", "50",
+                "--vary", "n", "--values", "8.0,1e1", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["8", "10"]

@@ -1,8 +1,13 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from supportlab import decoder
 from supportlab.decoder import decode_exhaustive, pairwise_statistic, score_support
 from supportlab.errors import BudgetError, ValidationError
 from supportlab.model import (
@@ -243,3 +248,92 @@ def test_decode_collinear_column_matches_least_squares():
         assert res.pattern.indices in ((1, 2), (2, 3))
         assert abs(res.runner_up_score - res.score) <= 1e-9 * max(1.0, res.score)
         assert build_projector(inst.design, make_pattern([1, 3], 6)).rank == 1
+
+
+# ------------------------------------------ batched filter vs the exact loop
+
+
+def _exact_loop(inst):
+    """The reference decoder: every candidate on the exact route, strict <."""
+    entries, y = inst.design.entries, inst.observation
+    best_combo, best, runner_up = None, math.inf, math.inf
+    for combo in itertools.combinations(range(inst.p), inst.k):
+        s = decoder._score_columns(entries, combo, y)
+        if s < best:
+            runner_up, best, best_combo = best, s, combo
+        elif s < runner_up:
+            runner_up = s
+    return best_combo, best, runner_up
+
+
+def _assert_bit_identical(inst):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # k > n warns
+        res = decode_exhaustive(inst)
+    assert (res.pattern.indices, res.score, res.runner_up_score) == _exact_loop(inst)
+    assert res.candidates_scored == math.comb(inst.p, inst.k)
+
+
+DEFECTS = ("none", "duplicate", "collinear", "tiny", "zero")
+
+
+@st.composite
+def decode_cases(draw):
+    n = draw(st.integers(1, 12))
+    p = draw(st.integers(1, 9))
+    k = draw(st.integers(1, p))  # covers k > n and p == k
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    entries = gen.standard_normal((n, p))
+    defect = draw(st.sampled_from(DEFECTS))
+    if defect == "duplicate" and p >= 2:
+        entries[:, p - 1] = entries[:, 0]
+    elif defect == "collinear" and p >= 3:
+        entries[:, 2] = 0.7 * entries[:, 0] - 1.3 * entries[:, 1]
+    elif defect == "tiny":
+        entries[:, p // 2] *= 1e-7
+    elif defect == "zero":
+        entries[:, p // 2] = 0.0
+    support = sorted(draw(st.sets(st.integers(0, p - 1), min_size=k, max_size=k)))
+    values = gen.choice([-2.0, 0.5, 1.0, 3.0], size=k)
+    y = entries[:, support] @ values
+    if not draw(st.booleans()):  # noiseless half the time
+        y = y + gen.standard_normal(n)
+    design = DesignMatrix(entries=entries)
+    signal = SparseSignal(pattern=make_pattern(support, p), values=values)
+    return ProblemInstance(design=design, signal=signal, observation=y)
+
+
+@given(inst=decode_cases())
+@settings(max_examples=300, deadline=None)
+def test_decode_equals_exact_loop_bit_for_bit(inst):
+    _assert_bit_identical(inst)
+
+
+def test_decode_equals_exact_loop_across_chunks():
+    # C(15, 6) = 5005 candidates span two chunks; column 14 duplicates
+    # column 0 of the noiseless truth, so near-ties straddle the boundary.
+    assert math.comb(15, 6) > decoder.CHUNK_SIZE
+    entries = np.array(gaussian_design(12, 15, seed=SEED).entries)
+    entries[:, 14] = entries[:, 0]
+    design = DesignMatrix(entries=entries)
+    sig = flat_signal(make_pattern(range(6), 15), 1.0)
+    y = synthesize_observation(design, sig, noise_seed=SEED, noiseless=True)
+    _assert_bit_identical(ProblemInstance(design=design, signal=sig, observation=y))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_decode_equals_exact_loop_for_any_chunk_size(chunk, monkeypatch):
+    monkeypatch.setattr(decoder, "CHUNK_SIZE", chunk)
+    for seed in range(5):
+        _assert_bit_identical(_deficient_instance(seed, 0, 4, 1.0, [0, 5]))
+        _assert_bit_identical(seeded_instance(seed, n=9, p=8, k=3))
+
+
+def test_decode_rescores_only_a_handful_exactly(monkeypatch):
+    calls = []
+    exact = decoder._score_columns
+    monkeypatch.setattr(decoder, "_score_columns",
+                        lambda *a: calls.append(a[1]) or exact(*a))
+    res = decode_exhaustive(seeded_instance(SEED, n=60, p=20, k=3))
+    assert res.candidates_scored == 1140
+    assert 2 <= len(calls) <= 10

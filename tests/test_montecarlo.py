@@ -161,6 +161,24 @@ def test_recovery_rejects_fixed_design():
         recovery_spec(design_mode="fixed").validate()
 
 
+@pytest.mark.parametrize("spec", [
+    recovery_spec(n=3, p=8, k=3),
+    pairwise_spec(n=2, k=2, design_mode="fresh"),
+])
+def test_bound_needing_n_above_k_is_checked_by_validate(spec):
+    with pytest.raises(ValidationError, match=r"need n > k, got n=\d, k="):
+        spec.validate()
+
+
+@pytest.mark.parametrize("spec", [
+    recovery_spec(n=2, p=3, k=3, trials=5),  # p == k: no bound to evaluate
+    pairwise_spec(n=2, k=2, wrong_pattern=(1, 2)),  # fixed design: conditional bound
+    pairwise_spec(n=2, k=2, design_mode="fresh", wrong_pattern=(0, 1)),  # F == T
+])
+def test_n_at_most_k_is_allowed_where_no_bound_needs_it(spec):
+    spec.validate()
+
+
 # ----------------------------------------------------- ensemble conditioning
 
 
