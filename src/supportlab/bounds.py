@@ -24,6 +24,7 @@ from .model import (
     SparseSignal,
     SparsityPattern,
     build_projector,
+    column_space_basis,
     pattern_difference,
     residual_energy,
 )
@@ -78,17 +79,6 @@ def chernoff_rate(t: float) -> float:
     return 2.0 * t * t / (1.0 - 2.0 * t) - t
 
 
-def quadratic_form_matrix(
-    design: DesignMatrix,
-    t_pattern: SparsityPattern,
-    f_pattern: SparsityPattern,
-) -> np.ndarray:
-    """Dense Psi = Pi_F - Pi_T, the matrix of the decision statistic y^T Psi y."""
-    pi_t = build_projector(design, t_pattern).matrix()
-    pi_f = build_projector(design, f_pattern).matrix()
-    return pi_f - pi_t
-
-
 def projection_energy(
     design: DesignMatrix,
     signal: SparseSignal,
@@ -120,31 +110,47 @@ def exact_quadratic_log_mgf(
     signal: SparseSignal,
     t_pattern: SparsityPattern,
     f_pattern: SparsityPattern,
-    t: float,
-) -> float:
+    t: float | np.ndarray,
+) -> float | np.ndarray:
     """Exact log E[exp(t Z)] for Z = y^T Psi y, y ~ N(X_T beta_T, I).
 
     Equal to 2t^2 mu^T Psi (I-2tPsi)^{-1} Psi mu + t mu^T Psi mu
-    - (1/2) log det(I - 2tPsi), evaluated through the eigendecomposition of
-    Psi (all eigenvalues lie in [-1, 1], so I - 2tPsi is positive definite
-    for |t| < 1/2).
+    - (1/2) log det(I - 2tPsi).  Psi = Pi_F - Pi_T lives in the span of
+    [X_T, X_F], so it is compressed to the r x r matrix Q^T Psi Q on an
+    orthonormal basis Q of that span (r <= 2k) and only that matrix is
+    eigendecomposed, at O(n k^2) cost; the eigenvalues Psi has outside the
+    span are 0 and add nothing.  All eigenvalues lie in [-1, 1], so
+    I - 2tPsi is positive definite for |t| < 1/2.
+
+    ``t`` is a scalar (returns a float) or a 1-d array (returns an array of
+    the same length, every entry equal to the scalar call at that t): one
+    spectrum serves every t.
     """
-    if abs(t) >= 0.5:
-        raise DomainError(f"log-MGF defined for |t| < 1/2, got t={t}")
+    ts = np.asarray(t, dtype=float)
+    outside = ~(np.abs(ts) < 0.5)  # NaN is outside too
+    if np.any(outside):
+        bad = t if ts.ndim == 0 else ts[outside][0]
+        raise DomainError(f"log-MGF defined for |t| < 1/2, got t={bad}")
     _check_support_pair(design, signal, t_pattern, f_pattern)
     if f_pattern.indices == t_pattern.indices:
-        return 0.0
-    psi = quadratic_form_matrix(design, t_pattern, f_pattern)
+        return 0.0 if ts.ndim == 0 else np.zeros(ts.shape)
+    qt = build_projector(design, t_pattern).basis
+    qf = build_projector(design, f_pattern).basis
+    q = column_space_basis(np.hstack([qt, qf]))
+    at, af = q.T @ qt, q.T @ qf
+    lam, vecs = np.linalg.eigh(af @ af.T - at @ at.T)
     mu = design.submatrix(t_pattern) @ signal.values
-    lam, vecs = np.linalg.eigh(psi)
-    w = vecs.T @ mu
-    denom = 1.0 - 2.0 * t * lam
-    if np.any(denom <= 0.0):
-        raise DomainError(f"I - 2t*Psi not positive definite at t={t}")
-    quad = 2.0 * t * t * float(np.sum(lam**2 * w**2 / denom))
-    linear = t * float(np.sum(lam * w**2))
-    logdet = float(np.sum(np.log(denom)))
-    return quad + linear - 0.5 * logdet
+    w_sq = (vecs.T @ (q.T @ mu)) ** 2
+    denom = 1.0 - 2.0 * np.multiply.outer(ts, lam)
+    singular = np.any(denom <= 0.0, axis=-1)
+    if np.any(singular):
+        bad = t if ts.ndim == 0 else ts[singular][0]
+        raise DomainError(f"I - 2t*Psi not positive definite at t={bad}")
+    quad = 2.0 * ts * ts * np.sum(lam**2 * w_sq / denom, axis=-1)
+    linear = ts * np.sum(lam * w_sq)
+    logdet = np.sum(np.log(denom), axis=-1)
+    out = quad + linear - 0.5 * logdet
+    return float(out) if ts.ndim == 0 else out
 
 
 def chain_log_bound(g: float, d: int, t: float) -> float:

@@ -197,6 +197,8 @@ class ProblemInstance:
             raise ValidationError(
                 f"observation length {y.shape} != measurement count {self.design.n}"
             )
+        if not np.isfinite(y).all():
+            raise ValidationError("observation must be finite")
         if self.noise_variance != 1.0:
             raise ValidationError("noise variance is fixed at 1 (rescale beta instead)")
         y = y.copy()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supportlab.bounds import (
     CHERNOFF_C,
@@ -19,7 +21,6 @@ from supportlab.bounds import (
     necessary_sample_size,
     pairwise_conditional_bound,
     projection_energy,
-    quadratic_form_matrix,
     regime_table,
     sufficient_sample_size,
     union_error_bound_closed_form,
@@ -27,6 +28,7 @@ from supportlab.bounds import (
 )
 from supportlab.errors import DomainError, PreconditionError, ValidationError
 from supportlab.model import DesignMatrix, SparseSignal, build_projector, make_pattern
+from supportlab.verify import quadratic_form_matrix
 from supportlab import rng
 
 SEED = 20260811
@@ -66,11 +68,17 @@ def test_chernoff_rate_domain():
 # -------------------------------------------------------------- exact log-MGF
 
 
+MGF_TS = np.array([-0.49, -0.4899, -0.3, 0.1, 0.45, 0.4899, 0.49])
+
+
 def test_exact_mgf_at_zero_and_at_truth():
     gen = rng.stream(SEED, 1)
     design, signal, t_patt, f_patt = random_pair(gen)
     assert exact_quadratic_log_mgf(design, signal, t_patt, f_patt, 0.0) == pytest.approx(0.0, abs=1e-12)
     assert exact_quadratic_log_mgf(design, signal, t_patt, t_patt, 0.3) == 0.0
+    at_truth = exact_quadratic_log_mgf(design, signal, t_patt, t_patt, MGF_TS)
+    assert isinstance(at_truth, np.ndarray)
+    assert np.array_equal(at_truth, np.zeros(len(MGF_TS)))
 
 
 def test_exact_mgf_domain_error():
@@ -78,6 +86,12 @@ def test_exact_mgf_domain_error():
     design, signal, t_patt, f_patt = random_pair(gen)
     with pytest.raises(DomainError):
         exact_quadratic_log_mgf(design, signal, t_patt, f_patt, 0.5)
+    # One t outside |t| < 1/2 anywhere in an array rejects the whole call.
+    with pytest.raises(DomainError):
+        exact_quadratic_log_mgf(design, signal, t_patt, f_patt, math.nan)
+    for ts in ([0.1, 0.5], [-0.5], [0.2, -0.7, 0.0], [0.3, np.inf], [0.1, np.nan]):
+        with pytest.raises(DomainError, match=r"\|t\| < 1/2"):
+            exact_quadratic_log_mgf(design, signal, t_patt, f_patt, np.array(ts))
 
 
 def test_exact_mgf_against_sampled_mean():
@@ -112,6 +126,84 @@ def test_exact_mgf_chain_and_final_bound_order():
             exact = exact_quadratic_log_mgf(design, signal, t_patt, f_patt, float(t))
             assert exact <= chain_log_bound(g, d, float(t)) + 1e-9
         assert chain_log_bound(g, d, CHERNOFF_T_STAR) <= -CHERNOFF_C * g + 0.5 * d + 1e-9
+
+
+def _dense_log_mgf(design, signal, t_patt, f_patt, t):
+    """log E[exp(tZ)] from the dense n x n Psi, by a Cholesky of I - 2t Psi."""
+    psi = quadratic_form_matrix(design, t_patt, f_patt)
+    mu = design.submatrix(t_patt) @ signal.values
+    chol = np.linalg.cholesky(np.eye(design.n) - 2.0 * t * psi)
+    psi_mu = psi @ mu
+    z = np.linalg.solve(chol, psi_mu)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return 2.0 * t * t * float(z @ z) + t * float(mu @ psi_mu) - 0.5 * logdet
+
+
+def degenerate_pair(gen):
+    """(design, signal, T, F) with T and F sharing a column, n log-uniform up to
+    300, and one of: a column duplicated across T and F or inside either, a
+    collinear column in F or in T, a zero column in F or in T, or an F column
+    close to (but not on) a T column, which puts a small principal angle
+    between the two spans."""
+    k = int(gen.integers(2, 5))
+    p = 2 * k + 2
+    n = int(np.exp(gen.uniform(math.log(2 * k + 2), math.log(301))))
+    x = gen.standard_normal((n, p))
+    cols = gen.permutation(p)
+    shared = int(cols[0])
+    t_idx = sorted([shared, *cols[1:k].tolist()])
+    f_idx = sorted([shared, *cols[k:2 * k - 1].tolist()])
+    a, b = int(cols[1]), int(cols[k])  # a in T only, b in F only
+    kind = int(gen.integers(0, 8))
+    if kind == 0:
+        x[:, b] = x[:, a]
+    elif kind == 1:
+        x[:, b] = x[:, shared]
+    elif kind == 2:
+        x[:, a] = x[:, shared]
+    elif kind == 3:
+        x[:, b] = 0.5 * x[:, shared] - 2.0 * x[:, a]
+    elif kind == 4:
+        x[:, a] = 3.0 * x[:, shared] + x[:, int(cols[2])] if k > 2 else -x[:, shared]
+    elif kind == 5:
+        x[:, b] = 0.0
+    elif kind == 6:
+        x[:, a] = 0.0
+    else:
+        x[:, b] = x[:, a] + 0.05 * gen.standard_normal(n)
+    t_patt = make_pattern(t_idx, p)
+    f_patt = make_pattern(f_idx, p)
+    values = gen.uniform(0.5, 2.5, size=k) * gen.choice([-1.0, 1.0], size=k)
+    return DesignMatrix(entries=x), SparseSignal(pattern=t_patt, values=values), t_patt, f_patt
+
+
+def test_exact_mgf_matches_dense_cholesky_oracle():
+    # The r x r compression against the dense n x n route at 1e-10 relative,
+    # plain and degenerate pairs, T and F overlapping.  The tolerance turns
+    # absolute below 1: where col(X_T) = col(X_F) the exact value is 0 and
+    # both routes return rounding noise.
+    gen = rng.stream(SEED, 8)
+    for i in range(80):
+        if i % 2:
+            design, signal, t_patt, f_patt = degenerate_pair(gen)
+        else:
+            design, signal, t_patt, f_patt = random_pair(gen, n_max=300, k_max=4)
+        got = exact_quadratic_log_mgf(design, signal, t_patt, f_patt, MGF_TS)
+        for t, value in zip(MGF_TS, got):
+            ref = _dense_log_mgf(design, signal, t_patt, f_patt, float(t))
+            assert abs(value - ref) <= 1e-10 * max(abs(ref), 1.0), (i, t, value, ref)
+
+
+def test_exact_mgf_array_t_equals_scalar_calls():
+    gen = rng.stream(SEED, 9)
+    for _ in range(20):
+        design, signal, t_patt, f_patt = degenerate_pair(gen)
+        got = exact_quadratic_log_mgf(design, signal, t_patt, f_patt, MGF_TS)
+        assert isinstance(got, np.ndarray) and got.shape == MGF_TS.shape
+        for t, value in zip(MGF_TS, got):
+            scalar = exact_quadratic_log_mgf(design, signal, t_patt, f_patt, float(t))
+            assert isinstance(scalar, float)
+            assert value == scalar
 
 
 def test_eigen_pairs_and_identities_via_dense_solver():
@@ -527,6 +619,26 @@ def test_regime_thresholds_monotone_in_p():
 
 
 # ------------------------------------------------------- evaluator monotonicity
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(1, 8),
+    extra_p=st.integers(1, 60),
+    extra_n=st.integers(1, 3000),
+    dn=st.integers(0, 3000),
+    b2=st.floats(1e-4, 1e3),
+    scale=st.floats(1.0, 1e3),
+)
+def test_log_domain_bounds_do_not_increase_in_n_or_beta(k, extra_p, extra_n, dn, b2, scale):
+    p, n = k + extra_p, k + extra_n
+    base = union_error_bound_sum(n, p, k, b2).log_bound
+    assert union_error_bound_sum(n + dn, p, k, b2).log_bound <= base
+    assert union_error_bound_sum(n, p, k, b2 * scale).log_bound <= base
+    for d in range(1, k + 1):
+        base = averaged_pairwise_bound(n, k, d, d * b2).log_bound
+        assert averaged_pairwise_bound(n + dn, k, d, d * b2).log_bound <= base
+        assert averaged_pairwise_bound(n, k, d, d * b2 * scale).log_bound <= base
 
 
 def test_averaged_bound_monotone():

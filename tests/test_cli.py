@@ -1,14 +1,21 @@
 import json
 import math
+import os
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from supportlab import bounds
 from supportlab.cli import load_instance, main, save_instance
 from supportlab.model import (
+    DesignMatrix,
     ProblemInstance,
+    SparseSignal,
     flat_signal,
     gaussian_design,
     make_pattern,
@@ -69,6 +76,39 @@ def test_decode_instance_file_roundtrip(tmp_path):
     record = json.loads(out.read_text())
     assert record["declared_support"] == [3, 7]  # 1-based
     assert record["recovered"] is True
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _instances(draw):
+    n = draw(st.integers(1, 6))
+    p = draw(st.integers(1, 6))
+    k = draw(st.integers(1, p))
+    design = draw(hnp.arrays(float, (n, p), elements=_FINITE))
+    support = draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k, unique=True))
+    values = draw(hnp.arrays(float, k, elements=_FINITE.filter(lambda v: v != 0.0)))
+    observation = draw(hnp.arrays(float, n, elements=_FINITE))
+    return ProblemInstance(
+        design=DesignMatrix(entries=design),
+        signal=SparseSignal(pattern=make_pattern(support, p), values=values),
+        observation=observation,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=_instances())
+def test_instance_file_roundtrips_bit_for_bit(inst):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "instance.json")
+        save_instance(path, inst)
+        loaded = load_instance(path)
+    assert loaded.true_pattern == inst.true_pattern
+    for got, want in [(loaded.design.entries, inst.design.entries),
+                      (loaded.signal.values, inst.signal.values),
+                      (loaded.observation, inst.observation)]:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # -------------------------------------------------------------------- bounds

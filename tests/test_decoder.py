@@ -101,6 +101,17 @@ def test_decode_zero_observation_tie_break():
     assert res.score == 0.0
 
 
+def test_decode_nan_observation_is_a_validation_error():
+    # Every score of an all-NaN observation is NaN, so no candidate would win
+    # the strict < of the exact loop; the instance refuses it up front.
+    design = gaussian_design(6, 5, seed=SEED)
+    sig = flat_signal(make_pattern([2, 4], 5), 1.0)
+    with pytest.raises(ValidationError, match="observation must be finite"):
+        decode_exhaustive(
+            ProblemInstance(design=design, signal=sig, observation=np.full(6, np.nan))
+        )
+
+
 def test_decode_budget_error_names_count():
     inst = seeded_instance(SEED, n=8, p=20, k=6)
     with pytest.raises(BudgetError, match=r"C\(20,6\) = 38760"):

@@ -195,6 +195,16 @@ def test_instance_invariants():
         ProblemInstance(design=design, signal=sig, observation=y[:-1])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_instance_rejects_nonfinite_observation(bad):
+    design = gaussian_design(6, 5, seed=SEED)
+    sig = flat_signal(make_pattern([1, 4], 5), 2.0)
+    y = synthesize_observation(design, sig, noise_seed=1)
+    y[3] = bad
+    with pytest.raises(ValidationError, match="observation must be finite"):
+        ProblemInstance(design=design, signal=sig, observation=y)
+
+
 # ----------------------------------------------------------------- projector
 
 
