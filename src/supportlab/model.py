@@ -282,13 +282,25 @@ def column_space_basis(
     Singular values at or below ``rank_tolerance`` times the largest column
     norm are dropped, so duplicate or dependent columns span only the
     numerically spanned subspace.  An empty or all-zero submatrix has rank 0.
+
+    ``sub`` may also be a stack of shape (..., n, m).  Each matrix gets the
+    same rule from one batched SVD, and the result has shape
+    (..., n, min(n, m)): each matrix's basis, followed by zero columns up to
+    the common width.  Projection energies ``||basis.T @ y||^2`` are the same
+    either way, because the zero columns add exact zeros.
     """
-    scale = float(np.max(np.linalg.norm(sub, axis=0), initial=0.0))
-    if scale == 0.0:
-        return np.zeros((sub.shape[0], 0))
-    u, s, _ = np.linalg.svd(sub, full_matrices=False)
-    r = int(np.sum(s > rank_tolerance * scale))
-    return u[:, :r]
+    subs = sub if sub.ndim > 2 else sub[None]
+    n, m = subs.shape[-2:]
+    if n == 0 or m == 0:
+        return np.zeros((*sub.shape[:-1], 0))
+    scale = np.max(np.linalg.norm(subs, axis=-2), axis=-1)
+    u, s, _ = np.linalg.svd(subs, full_matrices=False)
+    # s is sorted in decreasing order, so the mask keeps a prefix; a zero
+    # matrix (scale 0, every s exactly 0) keeps nothing.
+    kept = s > rank_tolerance * scale[..., None]
+    if sub.ndim > 2:
+        return u * kept[..., None, :]
+    return u[0, :, : int(np.sum(kept))]
 
 
 def build_projector(

@@ -39,6 +39,10 @@ from .model import (
 
 DEFAULT_VERIFY_SEED = 20260811
 
+#: Rows per draw in the sampled-MGF checks, which accumulate their sums block
+#: by block so that memory stays bounded whatever the sample count.
+SAMPLE_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -56,6 +60,22 @@ def quadratic_form_matrix(
     pi_t = build_projector(design, t_pattern).matrix()
     pi_f = build_projector(design, f_pattern).matrix()
     return pi_f - pi_t
+
+
+def _sampled_log_mgf(
+    gen: np.random.Generator, samples: int, dim: int, statistic, t: float
+) -> float:
+    """log of the mean of exp(t * statistic(x)) over ``samples`` standard-normal
+    rows x of length ``dim``, drawn from ``gen`` ``SAMPLE_BLOCK`` rows at a time.
+
+    Consecutive block draws continue the stream, so the rows are the same as
+    those of one (samples, dim) draw.
+    """
+    total = 0.0
+    for start in range(0, samples, SAMPLE_BLOCK):
+        rows = gen.standard_normal((min(SAMPLE_BLOCK, samples - start), dim))
+        total += float(np.sum(np.exp(t * statistic(rows))))
+    return math.log(total / samples)
 
 
 def _random_instance(gen: np.random.Generator, n_max: int = 32, k_max: int = 4):
@@ -152,10 +172,12 @@ def check_exact_mgf_sampling(
     qt = build_projector(design, t_patt).basis
     qf = build_projector(design, f_patt).basis
     mu = design.submatrix(t_patt) @ signal.values
-    noise = rng.stream(seed, 104).standard_normal((samples, n))
-    ys = mu[None, :] + noise
-    z = np.sum((ys @ qf) ** 2, axis=1) - np.sum((ys @ qt) ** 2, axis=1)
-    sampled = math.log(float(np.mean(np.exp(t * z))))
+
+    def z(noise):
+        ys = mu[None, :] + noise
+        return np.sum((ys @ qf) ** 2, axis=1) - np.sum((ys @ qt) ** 2, axis=1)
+
+    sampled = _sampled_log_mgf(rng.stream(seed, 104), samples, n, z, t)
     rel = abs(sampled - exact) / abs(exact)
     ok = rel < 0.02
     return CheckResult(
@@ -169,9 +191,9 @@ def check_chi_square_mgf(
     """Chi-square log-MGF at t = -c against the sampled mean of exp(tW)."""
     t = -CHERNOFF_C
     exact = chi_square_log_mgf(t, dof)
-    noise = rng.stream(seed, 105).standard_normal((samples, dof))
-    w = np.sum(noise**2, axis=1)
-    sampled = math.log(float(np.mean(np.exp(t * w))))
+    sampled = _sampled_log_mgf(
+        rng.stream(seed, 105), samples, dof, lambda noise: np.sum(noise**2, axis=1), t
+    )
     rel = abs(sampled - exact) / abs(exact)
     ok = rel < 0.01
     return CheckResult(

@@ -11,6 +11,7 @@ from supportlab.model import (
     ProblemInstance,
     SparseSignal,
     build_projector,
+    column_space_basis,
     enumerate_patterns,
     flat_signal,
     gaussian_design,
@@ -296,3 +297,45 @@ def test_residual_energy_dimension_mismatch():
     proj = build_projector(design, make_pattern([0], 3))
     with pytest.raises(ValidationError):
         residual_energy(proj, np.ones(4))
+
+
+def _deficient_stack(gen, count, n, m):
+    """A stack of n x m matrices, most of them rank deficient."""
+    stack = gen.standard_normal((count, n, m))
+    for j, mat in enumerate(stack):
+        defect = j % 6
+        if defect == 1 and m >= 2:
+            mat[:, -1] = mat[:, 0]  # duplicated column
+        elif defect == 2 and m >= 3:
+            mat[:, 2] = 0.7 * mat[:, 0] - 1.3 * mat[:, 1]  # collinear triple
+        elif defect == 3:
+            mat[:, m // 2] = 0.0  # zero column
+        elif defect == 4:
+            mat[:] = 0.0  # zero matrix: rank 0
+        elif defect == 5:
+            mat[:, m // 2] *= 1e-12  # below the rank tolerance
+    return stack
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (5, 2), (6, 6), (4, 7), (9, 3)])
+def test_stacked_column_space_basis_equals_each_2d_call(n, m):
+    gen = np.random.default_rng(n * 31 + m)
+    stack = _deficient_stack(gen, 24, n, m)
+    bases = column_space_basis(stack)
+    assert bases.shape == (24, n, min(n, m))
+    ranks = []
+    for mat, basis in zip(stack, bases):
+        single = column_space_basis(mat)
+        r = single.shape[1]
+        ranks.append(r)
+        assert np.array_equal(basis[:, :r], single)
+        assert not basis[:, r:].any()
+    assert 0 in ranks and len(set(ranks)) > 1
+    # Leading dimensions are kept: a (2, 12, n, m) stack gives the same bases.
+    assert np.array_equal(column_space_basis(stack.reshape(2, 12, n, m)),
+                          bases.reshape(2, 12, n, min(n, m)))
+
+
+def test_column_space_basis_of_empty_matrices():
+    assert column_space_basis(np.zeros((4, 0))).shape == (4, 0)
+    assert column_space_basis(np.zeros((3, 4, 0))).shape == (3, 4, 0)

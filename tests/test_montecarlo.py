@@ -1,9 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from supportlab import montecarlo, rng
 from supportlab.bounds import averaged_pairwise_bound
 from supportlab.errors import BudgetError, ValidationError
+from supportlab.model import DesignMatrix, build_projector, gaussian_design
 from supportlab.montecarlo import (
+    BLOCK,
     ExperimentSpec,
     pairwise_trial_outcomes,
     recovery_trial_outcomes,
@@ -86,11 +93,14 @@ def test_pairwise_dominated_and_reproducible_across_seeds():
 
 
 def test_pairwise_prefix_reproducibility():
-    short = pairwise_spec(trials=400)
-    long = pairwise_spec(trials=800)
-    a = pairwise_trial_outcomes(short)
-    b = pairwise_trial_outcomes(long)
-    assert np.array_equal(a, b[:400])
+    # Also across a block edge, in both design modes.
+    for n_short, n_long, mode in [(400, 800, "fixed"), (BLOCK - 3, BLOCK + 10, "fixed"),
+                                  (BLOCK - 3, BLOCK + 10, "fresh")]:
+        short = pairwise_spec(trials=n_short, design_mode=mode)
+        long = pairwise_spec(trials=n_long, design_mode=mode)
+        a = pairwise_trial_outcomes(short)
+        b = pairwise_trial_outcomes(long)
+        assert np.array_equal(a, b[:n_short])
 
 
 def test_pairwise_fresh_design_mode():
@@ -114,6 +124,143 @@ def test_spec_digest_tracks_content():
     b = pairwise_spec(master_seed=SEED + 1)
     assert a.digest() != b.digest()
     assert a.digest() == pairwise_spec().digest()
+
+
+# ------------------------------------------------------------ trial blocks
+
+
+def _loop_pairwise(spec, design0=None):
+    """The per-trial loop the block path replaced: one fresh generator per
+    trial and stream, Z_F from the trial's own projector bases.  A fixed
+    design whose col(X_F) equals col(X_T) errs in no trial."""
+    t_patt, f_patt = spec.true_support(), spec.wrong_support()
+    signal = spec.signal_on(t_patt)
+    out = np.zeros(spec.trials, dtype=bool)
+    for i in range(spec.trials):
+        if i == 0 or spec.design_mode == "fresh":
+            if i == 0 and design0 is not None:
+                design = design0
+            else:
+                entries = rng.stream(spec.master_seed, rng.KIND_DESIGN, i).standard_normal(
+                    (spec.n, spec.p))
+                design = DesignMatrix(entries=entries)
+            qt = build_projector(design, t_patt).basis
+            qf = build_projector(design, f_patt).basis
+            if spec.design_mode == "fixed":
+                union = np.linalg.matrix_rank(np.hstack([qt, qf]))
+                if union == qt.shape[1] == qf.shape[1]:
+                    return out
+            mean = design.submatrix(t_patt) @ signal.values
+        noise = (np.zeros(spec.n) if spec.noiseless
+                 else rng.stream(spec.master_seed, rng.KIND_NOISE, i).standard_normal(spec.n))
+        y = mean + noise
+        z = float(np.sum((qf.T @ y) ** 2) - np.sum((qt.T @ y) ** 2))
+        out[i] = z > 0.0
+    return out
+
+
+def _with_defect(design, defect):
+    """The seeded fixed design with duplicated, collinear or zero columns."""
+    entries = np.array(design.entries)
+    if defect == "duplicate":
+        entries[:, 2] = entries[:, 0]
+    elif defect == "collinear":
+        entries[:, 2] = 0.7 * entries[:, 0] - 1.3 * entries[:, 1]
+    elif defect == "zero":
+        entries[:, 1] = 0.0
+    elif defect == "twins":  # col(X_{2,3}) = col(X_{0,1})
+        entries[:, 2:4] = entries[:, 0:2]
+    return DesignMatrix(entries=entries)
+
+
+def _assert_blocks_equal_loop(spec, defect="none"):
+    design0 = _with_defect(gaussian_design(spec.n, spec.p, spec.master_seed), defect)
+    with mock.patch.object(montecarlo, "gaussian_design", lambda *a: design0):
+        got = pairwise_trial_outcomes(spec)
+    assert np.array_equal(got, _loop_pairwise(spec, design0))
+
+
+@st.composite
+def pairwise_cases(draw):
+    k = draw(st.integers(1, 3))
+    p = draw(st.integers(max(k + 1, 4), 8))
+    mode = draw(st.sampled_from(["fixed", "fresh"]))
+    n = draw(st.integers(k + 1 if mode == "fresh" else 1, 10))
+    truth = tuple(sorted(draw(st.sets(st.integers(0, p - 1), min_size=k, max_size=k))))
+    wrong = tuple(sorted(draw(st.sets(st.integers(0, p - 1), min_size=k, max_size=k))))
+    beta = draw(st.one_of(st.none(), st.lists(
+        st.sampled_from([-2.0, -0.3, 0.5, 1.0, 4.0]), min_size=k, max_size=k).map(tuple)))
+    spec = ExperimentSpec(
+        n=n, p=p, k=k, trials=draw(st.integers(1, 40)),
+        master_seed=draw(st.integers(0, 2**64 - 1)), target="pairwise", design_mode=mode,
+        beta_min=draw(st.sampled_from([0.2, 1.0, 3.0])), beta_values=beta,
+        true_pattern=truth, wrong_pattern=wrong, noiseless=draw(st.booleans()),
+    )
+    defect = "none" if mode == "fresh" else draw(
+        st.sampled_from(["none", "duplicate", "collinear", "zero", "twins"]))
+    return spec, defect
+
+
+@given(case=pairwise_cases(), block=st.integers(1, 9), budget=st.integers(1, 200))
+@settings(max_examples=150, deadline=None)
+def test_pairwise_blocks_equal_the_per_trial_loop(case, block, budget):
+    spec, defect = case
+    with mock.patch.object(montecarlo, "BLOCK", block), \
+            mock.patch.object(montecarlo, "BLOCK_ELEMENTS", budget):
+        _assert_blocks_equal_loop(spec, defect)
+
+
+@pytest.mark.parametrize("trials", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+@pytest.mark.parametrize("mode", ["fixed", "fresh"])
+def test_pairwise_blocks_equal_the_loop_at_block_edges(trials, mode):
+    spec = pairwise_spec(trials=trials, design_mode=mode, beta_min=0.7)
+    _assert_blocks_equal_loop(spec)
+
+
+def test_block_memory_is_bounded_by_the_element_budget():
+    spans = list(montecarlo._blocks(10_000, 500))
+    assert all(stop - start == montecarlo.BLOCK_ELEMENTS // 500 for start, stop in spans[:-1])
+    assert list(montecarlo._blocks(3, montecarlo.BLOCK_ELEMENTS * 4)) == [(0, 1), (1, 2), (2, 3)]
+    assert list(montecarlo._blocks(BLOCK + 1, 1)) == [(0, BLOCK), (BLOCK, BLOCK + 1)]
+
+
+def test_recovery_blocks_equal_the_per_trial_loop():
+    spec = recovery_spec(n=6, p=6, k=2, trials=23, beta_min=0.8, random_true_pattern=True)
+    want = []
+    for i in range(spec.trials):
+        idx = rng.stream(SEED, rng.KIND_PATTERN, i).choice(6, size=2, replace=False)
+        t_patt = montecarlo.make_pattern([int(j) for j in idx], 6)
+        entries = rng.stream(SEED, rng.KIND_DESIGN, i).standard_normal((6, 6))
+        y = entries[:, list(t_patt.indices)] @ np.full(2, 0.8)
+        y = y + rng.stream(SEED, rng.KIND_NOISE, i).standard_normal(6)
+        inst = montecarlo.ProblemInstance(
+            design=DesignMatrix(entries=entries), signal=spec.signal_on(t_patt), observation=y)
+        want.append(montecarlo.decode_exhaustive(inst).pattern.indices != t_patt.indices)
+    with mock.patch.object(montecarlo, "BLOCK", 5):
+        got = recovery_trial_outcomes(spec)
+    assert np.array_equal(got, want)
+    assert 0 < got.sum() < spec.trials
+
+
+# ------------------------------------------- coinciding column spaces
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_pairwise_n_at_most_k_never_errs(seed):
+    # n <= k: col(X_T) = col(X_F) = R^n, so Z_F is identically zero.
+    for n in (1, 2):
+        spec = pairwise_spec(n=n, p=4, k=2, wrong_pattern=(2, 3), trials=1000, master_seed=seed)
+        assert run_pairwise(spec).error_count == 0
+
+
+def test_pairwise_duplicated_column_wrong_support_never_errs():
+    # X_2 = X_0 makes col(X_{1,2}) = col(X_{0,1}): Z_F is identically zero.
+    spec = pairwise_spec(n=8, p=6, k=2, wrong_pattern=(1, 2), trials=3000)
+    design0 = _with_defect(gaussian_design(8, 6, SEED), "duplicate")
+    with mock.patch.object(montecarlo, "gaussian_design", lambda *a: design0):
+        assert not pairwise_trial_outcomes(spec).any()
+    # Without the duplicate the same F errs in some trials.
+    assert pairwise_trial_outcomes(spec).any()
 
 
 # -------------------------------------------------------------- full recovery
