@@ -7,6 +7,13 @@ deterministic given the config and seed: JSON is emitted with sorted keys,
 CSV with a fixed documented header.  ``--workers`` is accepted and validated
 but changes neither output nor speed: trials always run serially.
 
+The parser is built once per process, on the first ``main`` call, and is never
+mutated afterwards, so ``main`` can be called any number of times in one
+process.  ``--config PATH`` is replayed as flag tokens (``--flag=value``)
+placed after the command words and before the explicit flags: each config
+value goes through its flag's own type and choices, satisfies required flags,
+and loses to an explicit flag.  A repeated ``--config`` is rejected.
+
 Exit codes: 0 success, 1 check/assertion failure, 2 usage/validation error.
 """
 
@@ -161,12 +168,20 @@ def _build_signal(args, pattern) -> SparseSignal:
     return flat_signal(pattern, args.beta_min)
 
 
+def _true_indices(args) -> list[int]:
+    """The 0-based true support: ``--support`` (k indices), else the first k."""
+    if not args.support:
+        return list(range(args.k))
+    indices = parse_index_list(args.support)
+    if len(indices) != args.k:
+        raise ValidationError(f"--support has {len(indices)} indices, need k={args.k}")
+    return indices
+
+
 def _build_instance(args) -> ProblemInstance:
     if getattr(args, "instance", None):
         return load_instance(args.instance)
-    support = make_pattern(
-        parse_index_list(args.support) if args.support else list(range(args.k)), args.p
-    )
+    support = make_pattern(_true_indices(args), args.p)
     signal = _build_signal(args, support)
     design = gaussian_design(args.n, args.p, args.seed)
     y = synthesize_observation(design, signal, args.seed, noiseless=args.noiseless)
@@ -237,9 +252,7 @@ def _bound_record(report: bounds.BoundReport, extra: dict) -> dict:
 
 
 def cmd_bound_pairwise(args) -> int:
-    t_patt = make_pattern(
-        parse_index_list(args.support) if args.support else list(range(args.k)), args.p
-    )
+    t_patt = make_pattern(_true_indices(args), args.p)
     f_patt = make_pattern(parse_index_list(args.wrong), args.p)
     signal = _build_signal(args, t_patt)
     design = gaussian_design(args.n, args.p, args.seed)
@@ -281,9 +294,7 @@ def cmd_bound_union_closed(args) -> int:
 
 
 def cmd_bound_mgf(args) -> int:
-    t_patt = make_pattern(
-        parse_index_list(args.support) if args.support else list(range(args.k)), args.p
-    )
+    t_patt = make_pattern(_true_indices(args), args.p)
     f_patt = make_pattern(parse_index_list(args.wrong), args.p)
     signal = _build_signal(args, t_patt)
     design = gaussian_design(args.n, args.p, args.seed)
@@ -349,7 +360,7 @@ def _spec_from_args(args, target: str) -> montecarlo.ExperimentSpec:
         design_mode=args.design_mode,
         beta_min=args.beta_min,
         beta_values=tuple(parse_float_list(args.beta)) if getattr(args, "beta", None) else None,
-        true_pattern=tuple(parse_index_list(args.support)) if args.support else None,
+        true_pattern=tuple(_true_indices(args)) if args.support else None,
         random_true_pattern=getattr(args, "random_support", False),
         wrong_pattern=(
             tuple(parse_index_list(args.wrong)) if getattr(args, "wrong", None) else None
@@ -426,6 +437,23 @@ def cmd_verify(args) -> int:
 # ------------------------------------------------------------------- parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that records each flag as it is added: ``flags``
+    maps a dest to its option string and action, which is what replaying a
+    config as flag tokens needs to know."""
+
+    def __init__(self, **kwargs):
+        self.flags: dict[str, tuple[str, str]] = {}
+        super().__init__(**kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        kind = kwargs.get("action", "store")
+        if kind != "help":
+            self.flags[action.dest] = (action.option_strings[0], kind)
+        return action
+
+
 def _add_common(sp, *, out=True, seed=True, workers=False, cap=False):
     sp.add_argument("--config", help="JSON config file; explicit flags override it")
     sp.add_argument("--emit-config", help="write the resolved parameters as JSON")
@@ -456,12 +484,12 @@ def _add_instance_params(sp, wrong=False):
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="supportlab",
         description="Exhaustive sparsity-pattern decoding and bound verification.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    registry: dict[tuple, argparse.ArgumentParser] = {}
+    registry: dict[tuple, _Parser] = {}
 
     sp = subs.add_parser("decode", help="run the exhaustive decoder on one instance")
     _add_common(sp, workers=False, cap=True)
@@ -584,6 +612,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 _HOUSEKEEPING = {"func", "command", "subcommand", "config", "emit_config"}
 
+_PARSER: Optional[tuple[argparse.ArgumentParser, dict]] = None
+
+
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and command registry, built on the first call and shared,
+    never mutated, by every later ``main`` call in the process."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
 
 def _command_path(args) -> tuple:
     path = [args.command]
@@ -593,12 +632,58 @@ def _command_path(args) -> tuple:
 
 
 def _prescan_config(argv: list[str]) -> Optional[str]:
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
+    paths = [argv[i + 1] for i, tok in enumerate(argv[:-1]) if tok == "--config"]
+    paths += [tok.split("=", 1)[1] for tok in argv if tok.startswith("--config=")]
+    if len(paths) > 1:
+        raise SupportLabError("--config given more than once")
+    return paths[0] if paths else None
+
+
+def _command_words(argv: list[str]) -> tuple:
+    words = []
+    for tok in argv:
+        if tok.startswith("-"):
+            break
+        words.append(tok)
+    return tuple(words)
+
+
+def _replay_config(argv: list[str], path: str, registry: dict) -> list[str]:
+    """``argv`` with the config's params spliced in as ``--flag=value`` tokens
+    after the command words.  Each value then goes through its flag's own
+    type and choices, satisfies a required flag, and loses to an explicit
+    flag given later.  ``true`` on a switch is the bare flag, ``null`` (and
+    ``false`` on a switch) is "not given", a list on a repeatable flag is one
+    token per item; keys that are not a flag of the command are skipped."""
+    data = _read_json(path)
+    if not isinstance(data, dict):
+        raise SupportLabError(f"config {path} is not a JSON object")
+    command = data.get("command")
+    if not (isinstance(command, list) and all(isinstance(w, str) for w in command)):
+        raise SupportLabError(
+            f"config {path}: \"command\" must be a list of strings, got {command!r}"
+        )
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise SupportLabError(f"config {path}: \"params\" must be a JSON object")
+    sub = registry.get(tuple(command))
+    if sub is None:
+        raise SupportLabError(f"config {path} names unknown command {command}")
+    words = _command_words(argv)
+    if words != tuple(command):
+        raise SupportLabError(f"config {path} is for {command}, not {list(words)}")
+
+    tokens = []
+    for dest, value in params.items():
+        if dest in _HOUSEKEEPING or dest not in sub.flags or value is None:
+            continue
+        option, kind = sub.flags[dest]
+        if kind == "store_true" and isinstance(value, bool):
+            tokens += [option] if value else []
+            continue
+        items = value if kind == "append" and isinstance(value, list) else [value]
+        tokens += [f"{option}={v if isinstance(v, str) else json.dumps(v)}" for v in items]
+    return argv[:len(words)] + tokens + argv[len(words):]
 
 
 def _check_args(args) -> None:
@@ -610,31 +695,13 @@ def _check_args(args) -> None:
 
 
 def _run(argv: list[str]) -> int:
-    parser, registry = build_parser()
-
+    parser, registry = _parser()
     config_path = _prescan_config(argv)
-    config_command: Optional[tuple] = None
-    if config_path:
-        data = _read_json(config_path)
-        if not isinstance(data, dict):
-            raise SupportLabError(f"config {config_path} is not a JSON object")
-        params = data.get("params", {})
-        config_command = tuple(data.get("command", ()))
-        sub = registry.get(config_command)
-        if sub is None:
-            raise SupportLabError(f"config names unknown command {list(config_command)}")
-        supplied = {}
-        for action in sub._actions:
-            if action.dest in params and action.dest not in _HOUSEKEEPING:
-                supplied[action.dest] = params[action.dest]
-                action.required = False
-        sub.set_defaults(**supplied)
-
+    if config_path is not None:
+        argv = _replay_config(argv, config_path, registry)
     args = parser.parse_args(argv)
-    if config_command is not None and _command_path(args) != config_command:
-        raise SupportLabError(
-            f"config is for {list(config_command)}, not {list(_command_path(args))}"
-        )
+    if args.config != config_path:  # argparse also accepts an abbreviated --config
+        raise SupportLabError("--config must be spelled out in full")
     _check_args(args)
 
     if args.emit_config:

@@ -91,6 +91,10 @@ class ExperimentSpec:
             raise ValidationError(
                 f"explicit beta has {len(self.beta_values)} entries, need k={self.k}"
             )
+        if self.true_pattern is not None and len(self.true_pattern) != self.k:
+            raise ValidationError(
+                f"true pattern has {len(self.true_pattern)} indices, need k={self.k}"
+            )
         if self.beta_values is None and self.beta_min <= 0:
             raise ValidationError(f"beta_min must be positive, got {self.beta_min}")
         if self.target == TARGET_PAIRWISE:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from supportlab import bounds
+from supportlab import cli
 from supportlab.cli import load_instance, main, save_instance
 from supportlab.model import (
     DesignMatrix,
@@ -250,16 +251,32 @@ def test_sweep_deterministic_and_continues_past_bad_rows(tmp_path):
 # -------------------------------------------------------------------- config
 
 
-def test_emit_config_round_trip(tmp_path):
+@pytest.mark.parametrize("command", [
+    pytest.param(["mc", "pairwise", "--n", "9", "--p", "11", "--k", "2", "--seed", "33",
+                  "--wrong", "3,4", "--trials", "1500"], id="mc-pairwise"),
+    pytest.param(["decode", "--n", "8", "--p", "10", "--k", "2", "--seed", "3",
+                  "--noiseless"], id="decode"),
+    pytest.param(["bound", "pairwise", "--n", "8", "--p", "10", "--k", "2", "--seed", "4",
+                  "--wrong", "2,3"], id="bound-pairwise"),
+    pytest.param(["conditions", "--point", "100:2:1.0", "--point", "200:3:0.5"],
+                 id="conditions-point"),
+    pytest.param(["mc", "recover", "--n", "12", "--p", "7", "--k", "2", "--seed", "9",
+                  "--trials", "50"], id="mc-recover"),
+    pytest.param(["sweep", "--target", "pairwise", "--p", "10", "--k", "2", "--seed", "5",
+                  "--wrong", "2,3", "--trials", "200", "--vary", "n", "--values", "6,8"],
+                 id="sweep"),
+    pytest.param(["decode", "--n", "8", "--p", "10", "--k", "2", "--seed", "3",
+                  "--beta=-1.5,2"], id="negative-beta"),
+])
+def test_emit_config_round_trip(command, tmp_path):
     cfg = tmp_path / "cfg.json"
-    first = tmp_path / "first.csv"
-    second = tmp_path / "second.csv"
-    assert run(["mc", "pairwise", "--n", "9", "--p", "11", "--k", "2", "--seed", "33",
-                "--wrong", "3,4", "--trials", "1500", "--emit-config", str(cfg),
-                "--out", str(first)]) == 0
+    first = tmp_path / "first.out"
+    second = tmp_path / "second.out"
+    words = [w for w in command[:2] if not w.startswith("-")]
+    assert run(command + ["--emit-config", str(cfg), "--out", str(first)]) == 0
     data = json.loads(cfg.read_text())
-    assert data["command"] == ["mc", "pairwise"]
-    assert run(["mc", "pairwise", "--config", str(cfg), "--out", str(second)]) == 0
+    assert data["command"] == words
+    assert run(words + ["--config", str(cfg), "--out", str(second)]) == 0
     # --out came from the command line; every other parameter from the config
     assert first.read_bytes() == second.read_bytes()
 
@@ -391,12 +408,124 @@ def test_missing_config_file_names_the_path(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", ["{not json", "[1]",
                                   '{"command": ["bound", "union-sum"], '
-                                  '"params": {"n": 40, "p": 12, "k": 2, "beta_min_sq": NaN}}'])
+                                  '"params": {"n": 40, "p": 12, "k": 2, "beta_min_sq": NaN}}',
+                                  '{"command": "bound", "params": {}}',
+                                  '{"params": [1, 2], "command": ["bound", "union-sum"]}',
+                                  '{"command": ["mc", "recover"], '
+                                  '"params": {"n": 40, "p": 12, "k": 2}}'])
 def test_malformed_config_file_names_the_path(text, tmp_path, capsys):
     path = tmp_path / "bad_cfg.json"
     path.write_text(text)
     assert exit_code(["bound", "union-sum", "--config", str(path)]) == 2
     assert str(path) in capsys.readouterr().err
+
+
+MC_RECOVER = ["mc", "recover", "--n", "12", "--p", "7", "--k", "2", "--seed", "9",
+              "--trials", "20"]
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n", 8.5, "argument --n: invalid int value: '8.5'"),
+    ("trials", 2.0, "argument --trials: invalid int value: '2.0'"),
+    ("support", 5, "--support has 1 indices, need k=2"),
+    ("format", "xml", "argument --format: invalid choice: 'xml'"),
+    ("n", True, "argument --n: invalid int value: 'true'"),
+])
+def test_config_values_go_through_their_flags_parsers(key, value, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    assert run(MC_RECOVER + ["--emit-config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
+    data = json.loads(cfg.read_text())
+    data["params"][key] = value
+    cfg.write_text(json.dumps(data))
+    capsys.readouterr()
+    out = tmp_path / "b.csv"
+    assert exit_code(["mc", "recover", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repeated_config_is_a_usage_error(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    base = ["bound", "union-sum", "--p", "12", "--k", "2", "--beta-min-sq", "1.0"]
+    assert run(base + ["--n", "50", "--emit-config", str(a)]) == 0
+    assert run(base + ["--n", "60", "--emit-config", str(b)]) == 0
+    capsys.readouterr()
+    for argv, message in [
+        (["--config", str(a), "--config", str(b)], "--config given more than once"),
+        ([f"--config={a}", "--config", str(b)], "--config given more than once"),
+        (["--config", str(a), "--conf", str(b)], "--config must be spelled out in full"),
+    ]:
+        assert run(["bound", "union-sum"] + argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+
+def test_parser_is_built_once_across_main_calls(monkeypatch, tmp_path):
+    calls = []
+    build = cli.build_parser
+
+    def counting_build():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    for i in range(3):
+        assert run(["bound", "union-sum", "--n", "40", "--p", "12", "--k", "2",
+                    "--beta-min-sq", "1.0", "--out", str(tmp_path / f"u{i}.json")]) == 0
+        assert run(["conditions", "--point", "100:2:1.0",
+                    "--out", str(tmp_path / f"c{i}.csv")]) == 0
+    assert len(calls) == 1
+
+
+def test_config_values_do_not_leak_into_later_calls(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    assert run(["bound", "union-sum", "--n", "40", "--p", "12", "--k", "2",
+                "--beta-min-sq", "1.0", "--emit-config", str(cfg)]) == 0
+    assert run(["bound", "union-sum", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert exit_code(["bound", "union-sum", "--n", "40"]) == 2
+    assert "required: --p, --k, --beta-min-sq" in capsys.readouterr().err
+
+
+def test_plain_config_plain_sequence_matches_each_run_alone(monkeypatch, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    assert run(["decode", "--n", "9", "--p", "8", "--k", "2", "--seed", "6", "--noiseless",
+                "--beta=-1.5,2", "--emit-config", str(cfg),
+                "--out", str(tmp_path / "emit.json")]) == 0
+    sequence = [
+        ["decode", "--n", "8", "--p", "10", "--k", "2", "--seed", "3"],
+        ["decode", "--config", str(cfg), "--seed", "4"],
+        ["decode", "--n", "8", "--p", "10", "--k", "2", "--seed", "3"],
+    ]
+
+    def outputs(tag, fresh_parser):
+        result = []
+        for i, argv in enumerate(sequence):
+            if fresh_parser:
+                monkeypatch.setattr(cli, "_PARSER", None)
+            out = tmp_path / f"{tag}{i}.json"
+            assert run(argv + ["--out", str(out)]) == 0
+            result.append(out.read_bytes())
+        return result
+
+    together, alone = outputs("together", False), outputs("alone", True)
+    assert together == alone
+    assert together[0] == together[2] != together[1]
+
+
+@pytest.mark.parametrize("command", [
+    ["decode", "--n", "8", "--p", "10", "--k", "2"],
+    ["bound", "pairwise", "--n", "8", "--p", "10", "--k", "2", "--wrong", "2,3"],
+    MC_PAIRWISE,
+    MC_RECOVER,
+])
+def test_support_size_must_equal_k(command, capsys):
+    assert run(command + ["--support", "5"]) == 2
+    captured = capsys.readouterr()
+    assert "--support has 1 indices, need k=2" in captured.err
+    assert captured.out == ""
 
 
 def test_decode_p_equals_k_emits_valid_json(tmp_path):

@@ -119,6 +119,12 @@ def test_pairwise_requires_wrong_pattern():
         pairwise_spec(random_true_pattern=True).validate()
 
 
+@pytest.mark.parametrize("make", [pairwise_spec, recovery_spec])
+def test_true_pattern_must_have_k_indices(make):
+    with pytest.raises(ValidationError, match="true pattern has 1 indices, need k=2"):
+        make(true_pattern=(4,)).validate()
+
+
 def test_spec_digest_tracks_content():
     a = pairwise_spec()
     b = pairwise_spec(master_seed=SEED + 1)
