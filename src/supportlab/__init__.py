@@ -32,11 +32,9 @@ from .errors import (
 from .model import (
     DesignMatrix,
     ProblemInstance,
-    Projector,
     SparseSignal,
     SparsityPattern,
     build_projector,
-    enumerate_patterns,
     flat_signal,
     gaussian_design,
     make_pattern,

@@ -134,8 +134,8 @@ def exact_quadratic_log_mgf(
     _check_support_pair(design, signal, t_pattern, f_pattern)
     if f_pattern.indices == t_pattern.indices:
         return 0.0 if ts.ndim == 0 else np.zeros(ts.shape)
-    qt = build_projector(design, t_pattern).basis
-    qf = build_projector(design, f_pattern).basis
+    qt = build_projector(design, t_pattern)
+    qf = build_projector(design, f_pattern)
     q = column_space_basis(np.hstack([qt, qf]))
     at, af = q.T @ qt, q.T @ qf
     lam, vecs = np.linalg.eigh(af @ af.T - at @ at.T)

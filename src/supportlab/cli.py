@@ -12,7 +12,8 @@ mutated afterwards, so ``main`` can be called any number of times in one
 process.  ``--config PATH`` is replayed as flag tokens (``--flag=value``)
 placed after the command words and before the explicit flags: each config
 value goes through its flag's own type and choices, satisfies required flags,
-and loses to an explicit flag.  A repeated ``--config`` is rejected.
+and loses to an explicit flag.  A repeated ``--config`` is rejected, and a
+config value its flag rejects is reported with the config's path.
 
 Exit codes: 0 success, 1 check/assertion failure, 2 usage/validation error.
 """
@@ -20,6 +21,7 @@ Exit codes: 0 success, 1 check/assertion failure, 2 usage/validation error.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import csv
 import dataclasses
 import io
@@ -437,10 +439,15 @@ def cmd_verify(args) -> int:
 # ------------------------------------------------------------------- parser
 
 
+#: (config path, replayed tokens) while ``_run`` parses a replayed config.
+_REPLAYED: contextvars.ContextVar = contextvars.ContextVar("replayed", default=None)
+
+
 class _Parser(argparse.ArgumentParser):
     """An ``ArgumentParser`` that records each flag as it is added: ``flags``
     maps a dest to its option string and action, which is what replaying a
-    config as flag tokens needs to know."""
+    config as flag tokens needs to know.  An error about a replayed
+    ``--flag=value`` token names the config it came from."""
 
     def __init__(self, **kwargs):
         self.flags: dict[str, tuple[str, str]] = {}
@@ -452,6 +459,15 @@ class _Parser(argparse.ArgumentParser):
         if kind != "help":
             self.flags[action.dest] = (action.option_strings[0], kind)
         return action
+
+    def error(self, message):
+        path, tokens = _REPLAYED.get() or (None, ())
+        for option, eq, value in (tok.partition("=") for tok in tokens):
+            # argparse quotes the rejected string with repr in every such message.
+            if eq and message.startswith(f"argument {option}:") and repr(value) in message:
+                message = f"config {path}: {message}"
+                break
+        super().error(message)
 
 
 def _add_common(sp, *, out=True, seed=True, workers=False, cap=False):
@@ -648,13 +664,14 @@ def _command_words(argv: list[str]) -> tuple:
     return tuple(words)
 
 
-def _replay_config(argv: list[str], path: str, registry: dict) -> list[str]:
+def _replay_config(argv: list[str], path: str, registry: dict) -> tuple[list, list]:
     """``argv`` with the config's params spliced in as ``--flag=value`` tokens
-    after the command words.  Each value then goes through its flag's own
-    type and choices, satisfies a required flag, and loses to an explicit
-    flag given later.  ``true`` on a switch is the bare flag, ``null`` (and
-    ``false`` on a switch) is "not given", a list on a repeatable flag is one
-    token per item; keys that are not a flag of the command are skipped."""
+    after the command words, and those tokens.  Each value then goes through
+    its flag's own type and choices, satisfies a required flag, and loses to
+    an explicit flag given later.  ``true`` on a switch is the bare flag,
+    ``null`` (and ``false`` on a switch) is "not given", a list on a
+    repeatable flag is one token per item; keys that are not a flag of the
+    command are skipped."""
     data = _read_json(path)
     if not isinstance(data, dict):
         raise SupportLabError(f"config {path} is not a JSON object")
@@ -683,7 +700,7 @@ def _replay_config(argv: list[str], path: str, registry: dict) -> list[str]:
             continue
         items = value if kind == "append" and isinstance(value, list) else [value]
         tokens += [f"{option}={v if isinstance(v, str) else json.dumps(v)}" for v in items]
-    return argv[:len(words)] + tokens + argv[len(words):]
+    return argv[:len(words)] + tokens + argv[len(words):], tokens
 
 
 def _check_args(args) -> None:
@@ -697,9 +714,14 @@ def _check_args(args) -> None:
 def _run(argv: list[str]) -> int:
     parser, registry = _parser()
     config_path = _prescan_config(argv)
+    tokens: list = []
     if config_path is not None:
-        argv = _replay_config(argv, config_path, registry)
-    args = parser.parse_args(argv)
+        argv, tokens = _replay_config(argv, config_path, registry)
+    replayed = _REPLAYED.set((config_path, tokens))
+    try:
+        args = parser.parse_args(argv)
+    finally:
+        _REPLAYED.reset(replayed)
     if args.config != config_path:  # argparse also accepts an abbreviated --config
         raise SupportLabError("--config must be spelled out in full")
     _check_args(args)

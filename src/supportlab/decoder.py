@@ -27,7 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ValidationError
-from .model import ProblemInstance, SparsityPattern, column_space_basis, pattern_count
+from .model import (
+    ProblemInstance,
+    SparsityPattern,
+    column_space_basis,
+    pattern_count,
+    residual_energy,
+)
 
 #: Desk-scale guardrail: exhaustive decoding is exponential in k.
 DEFAULT_CANDIDATE_BUDGET = 5_000_000
@@ -186,10 +192,8 @@ class _GramScorer:
 
 def _score_columns(entries, combo, y) -> float:
     """Residual energy ||y - Pi y||^2 against the span of columns ``combo``:
-    the one exact scoring kernel, shared by the decoder and score_support."""
-    basis = column_space_basis(entries[:, list(combo)])
-    resid = y - basis @ (basis.T @ y)
-    return float(resid @ resid)
+    the one exact scoring route, shared by the decoder and score_support."""
+    return residual_energy(column_space_basis(entries[:, list(combo)]), y)
 
 
 def pairwise_statistic(instance: ProblemInstance, f: SparsityPattern) -> float:

@@ -2,12 +2,13 @@
 
 Types here are immutable after construction.  All storage is double
 precision: the bounds computed downstream span hundreds of orders of
-magnitude and single precision underflows.
+magnitude and single precision underflows.  A support's column space is held
+as the orthonormal basis Q of ``column_space_basis`` (Pi_F = Q Q^T), and
+``residual_energy`` computes ||(I - Pi_F) v||^2 from it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -15,10 +16,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .rng import design_stream, noise_stream
+from .rng import KIND_DESIGN, KIND_NOISE, stream
 
-#: Relative rank cutoff for projector construction, scaled by the largest
-#: column norm of the extracted submatrix.
+#: Relative rank cutoff of ``column_space_basis``, scaled by the largest
+#: column norm of the submatrix.
 DEFAULT_RANK_TOLERANCE = 1e-10
 
 
@@ -77,14 +78,6 @@ def pattern_difference(a: SparsityPattern, b: SparsityPattern) -> SparsityPatter
     b_set = set(b.indices)
     kept = tuple(i for i in a.indices if i not in b_set)
     return SparsityPattern(indices=kept, p=a.p)
-
-
-def enumerate_patterns(p: int, k: int) -> Iterator[SparsityPattern]:
-    """Yield all C(p, k) size-k patterns exactly once, in lexicographic order."""
-    if k < 0 or k > p:
-        raise ValidationError(f"need 0 <= k <= p, got k={k}, p={p}")
-    for combo in itertools.combinations(range(p), k):
-        yield SparsityPattern(indices=combo, p=p)
 
 
 @dataclass(frozen=True)
@@ -174,7 +167,7 @@ def gaussian_design(n: int, p: int, seed: int) -> DesignMatrix:
     """
     if n < 1 or p < 1:
         raise ValidationError(f"need n, p >= 1, got n={n}, p={p}")
-    rng = design_stream(seed)
+    rng = stream(seed, KIND_DESIGN)
     return DesignMatrix(entries=rng.standard_normal((n, p)))
 
 
@@ -237,50 +230,16 @@ def synthesize_observation(
     mean = design.submatrix(signal.pattern) @ signal.values
     if noiseless:
         return mean
-    eps = noise_stream(noise_seed).standard_normal(design.n)
+    eps = stream(noise_seed, KIND_NOISE).standard_normal(design.n)
     return mean + eps
 
 
-@dataclass(frozen=True)
-class Projector:
-    """Orthogonal projector onto a column space, held as an orthonormal basis."""
+def column_space_basis(sub: np.ndarray) -> np.ndarray:
+    """Orthonormal basis Q of col(sub) via thin SVD, truncated at the rank
+    tolerance; the orthogonal projector onto col(sub) is Q Q^T, held as Q.
 
-    basis: np.ndarray = field(repr=False)  # n x r, orthonormal columns
-
-    def __post_init__(self):
-        q = np.asarray(self.basis, dtype=float)
-        if q.ndim != 2:
-            raise ValidationError("projector basis must be a matrix")
-        q = q.copy()
-        q.flags.writeable = False
-        object.__setattr__(self, "basis", q)
-
-    @property
-    def n(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return self.basis.shape[1]
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.n,):
-            raise ValidationError(f"vector shape {v.shape} != ({self.n},)")
-        return self.basis @ (self.basis.T @ v)
-
-    def matrix(self) -> np.ndarray:
-        """Dense n x n projector matrix (small n only)."""
-        return self.basis @ self.basis.T
-
-
-def column_space_basis(
-    sub: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOLERANCE
-) -> np.ndarray:
-    """Orthonormal basis of col(sub) via thin SVD, truncated at the rank tolerance.
-
-    Singular values at or below ``rank_tolerance`` times the largest column
-    norm are dropped, so duplicate or dependent columns span only the
+    Singular values at or below ``DEFAULT_RANK_TOLERANCE`` times the largest
+    column norm are dropped, so duplicate or dependent columns span only the
     numerically spanned subspace.  An empty or all-zero submatrix has rank 0.
 
     ``sub`` may also be a stack of shape (..., n, m).  Each matrix gets the
@@ -297,30 +256,27 @@ def column_space_basis(
     u, s, _ = np.linalg.svd(subs, full_matrices=False)
     # s is sorted in decreasing order, so the mask keeps a prefix; a zero
     # matrix (scale 0, every s exactly 0) keeps nothing.
-    kept = s > rank_tolerance * scale[..., None]
+    kept = s > DEFAULT_RANK_TOLERANCE * scale[..., None]
     if sub.ndim > 2:
         return u * kept[..., None, :]
     return u[0, :, : int(np.sum(kept))]
 
 
-def build_projector(
-    design: DesignMatrix,
-    pattern: SparsityPattern,
-    rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
-) -> Projector:
-    """Projector onto col(X_F), held as the ``column_space_basis`` of X_F.
+def build_projector(design: DesignMatrix, pattern: SparsityPattern) -> np.ndarray:
+    """The ``column_space_basis`` of X_F: Q with Pi_F = Q Q^T.
 
-    The empty pattern yields the zero projector.
+    The empty pattern yields an n x 0 basis (the zero projector).
     """
-    return Projector(basis=column_space_basis(design.submatrix(pattern), rank_tolerance))
+    return column_space_basis(design.submatrix(pattern))
 
 
-def residual_energy(projector: Projector, v: np.ndarray) -> float:
-    """Squared norm of (I - Pi) v, computed from the explicit residual."""
+def residual_energy(basis: np.ndarray, v: np.ndarray) -> float:
+    """||(I - Q Q^T) v||^2 for an orthonormal basis Q, from the explicit
+    residual: the one residual kernel, shared by the decoder and the bounds."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (projector.n,):
-        raise ValidationError(f"vector shape {v.shape} != ({projector.n},)")
-    resid = v - projector.apply(v)
+    if v.shape != basis.shape[:1]:
+        raise ValidationError(f"vector shape {v.shape} != ({basis.shape[0]},)")
+    resid = v - basis @ (basis.T @ v)
     return float(resid @ resid)
 
 

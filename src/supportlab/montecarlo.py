@@ -236,8 +236,8 @@ def pairwise_trial_outcomes(spec: ExperimentSpec) -> np.ndarray:
         return _fresh_pairwise_outcomes(spec, t_patt, f_patt, values)
     # Fixed-design mode draws design 0 once.
     design = gaussian_design(spec.n, spec.p, spec.master_seed)
-    qt = build_projector(design, t_patt).basis
-    qf = build_projector(design, f_patt).basis
+    qt = build_projector(design, t_patt)
+    qf = build_projector(design, f_patt)
     out = np.zeros(spec.trials, dtype=bool)
     if column_space_basis(np.hstack([qt, qf])).shape[1] == qt.shape[1] == qf.shape[1]:
         return out
@@ -297,7 +297,7 @@ def recovery_trial_outcomes(
             design = DesignMatrix(entries=entries)
             y = design.submatrix(t_patt) @ signal.values + noise
             inst = ProblemInstance(design=design, signal=signal, observation=y)
-            decoded = decode_exhaustive(inst)
+            decoded = decode_exhaustive(inst, max_candidates)
             out[i] = decoded.pattern.indices != t_patt.indices
     return out
 

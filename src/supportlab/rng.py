@@ -82,11 +82,3 @@ def _rekeyed(
         key[1] = _key_word(kind, index)
         bit_generator.state = state
         yield gen
-
-
-def design_stream(master_seed: int, index: int = 0) -> np.random.Generator:
-    return stream(master_seed, KIND_DESIGN, index)
-
-
-def noise_stream(master_seed: int, index: int = 0) -> np.random.Generator:
-    return stream(master_seed, KIND_NOISE, index)

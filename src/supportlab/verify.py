@@ -57,9 +57,9 @@ def quadratic_form_matrix(
     f_pattern: SparsityPattern,
 ) -> np.ndarray:
     """Dense n x n Psi = Pi_F - Pi_T, the oracle for the compressed spectrum in ``bounds``."""
-    pi_t = build_projector(design, t_pattern).matrix()
-    pi_f = build_projector(design, f_pattern).matrix()
-    return pi_f - pi_t
+    qt = build_projector(design, t_pattern)
+    qf = build_projector(design, f_pattern)
+    return qf @ qf.T - qt @ qt.T
 
 
 def _sampled_log_mgf(
@@ -169,8 +169,8 @@ def check_exact_mgf_sampling(
     signal = SparseSignal(pattern=t_patt, values=np.array([1.5, -2.0]))
     t = CHERNOFF_T_STAR
     exact = exact_quadratic_log_mgf(design, signal, t_patt, f_patt, t)
-    qt = build_projector(design, t_patt).basis
-    qf = build_projector(design, f_patt).basis
+    qt = build_projector(design, t_patt)
+    qf = build_projector(design, f_patt)
     mu = design.submatrix(t_patt) @ signal.values
 
     def z(noise):

@@ -104,8 +104,8 @@ def test_exact_mgf_against_sampled_mean():
     signal = SparseSignal(pattern=t_patt, values=np.array([1.5, -2.0]))
     t = CHERNOFF_T_STAR
     exact = exact_quadratic_log_mgf(design, signal, t_patt, f_patt, t)
-    qt = build_projector(design, t_patt).basis
-    qf = build_projector(design, f_patt).basis
+    qt = build_projector(design, t_patt)
+    qf = build_projector(design, f_patt)
     mu = design.submatrix(t_patt) @ signal.values
     noise = rng.stream(SEED, 4).standard_normal((200_000, n))
     ys = mu[None, :] + noise

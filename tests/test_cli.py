@@ -440,7 +440,29 @@ def test_config_values_go_through_their_flags_parsers(key, value, message, tmp_p
     capsys.readouterr()
     out = tmp_path / "b.csv"
     assert exit_code(["mc", "recover", "--config", str(cfg), "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    if message.startswith("argument"):  # rejected by the flag's own parser
+        assert f"error: config {cfg}: {message}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, message", [
+    (["--n", "8.5"], "argument --n: invalid int value: '8.5'"),
+    (["--format", "xml"], "argument --format: invalid choice: 'xml'"),
+])
+def test_rejected_flag_value_keeps_argparse_text_beside_a_config(flag, message, tmp_path,
+                                                                 capsys):
+    # Only a value that came from the config is blamed on it: a bad value
+    # typed on the command line reads the same with or without a config.
+    cfg = tmp_path / "cfg.json"
+    assert run(MC_RECOVER + ["--emit-config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
+    out = tmp_path / "b.csv"
+    for argv in (MC_RECOVER, ["mc", "recover", "--config", str(cfg)]):
+        capsys.readouterr()
+        assert exit_code(argv + flag + ["--out", str(out)]) == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"supportlab mc recover: error: {message}")
     assert not out.exists()
 
 

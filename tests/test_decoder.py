@@ -15,14 +15,19 @@ from supportlab.model import (
     ProblemInstance,
     SparseSignal,
     build_projector,
-    enumerate_patterns,
     flat_signal,
     gaussian_design,
     make_pattern,
+    pattern_count,
+    residual_energy,
     synthesize_observation,
 )
 
 SEED = 31415
+
+
+def all_patterns(p, k):
+    return [make_pattern(c, p) for c in itertools.combinations(range(p), k)]
 
 
 def seeded_instance(seed, n=8, p=10, k=2, beta=1.0, noiseless=False):
@@ -66,6 +71,18 @@ def test_score_wrong_cardinality():
     inst = seeded_instance(SEED)
     with pytest.raises(ValidationError):
         score_support(inst, make_pattern([0], 10))
+
+
+def test_score_support_is_the_residual_energy_kernel_bit_for_bit():
+    # One residual kernel: the decoder's score of F is residual_energy on the
+    # basis build_projector returns, to the last bit, rank-deficient F too.
+    for seed in range(5):
+        for inst in (seeded_instance(seed, n=9, p=7, k=3),
+                     _deficient_instance(seed, copy_from=0, copy_to=4, factor=1.0,
+                                         support=[0, 5])):
+            for f in all_patterns(inst.p, inst.k):
+                basis = build_projector(inst.design, f)
+                assert score_support(inst, f) == residual_energy(basis, inst.observation)
 
 
 # --------------------------------------------------------- decode_exhaustive
@@ -132,7 +149,7 @@ def test_decode_matches_independent_enumeration():
     for seed in range(8):
         inst = seeded_instance(seed, n=9, p=12, k=2)
         res = decode_exhaustive(inst)
-        scores = [(score_support(inst, f), f.indices) for f in enumerate_patterns(12, 2)]
+        scores = [(score_support(inst, f), f.indices) for f in all_patterns(12, 2)]
         best_score = min(s for s, _ in scores)
         best_pattern = min(idx for s, idx in scores if s == best_score)
         ranked = sorted(s for s, _ in scores)
@@ -178,9 +195,11 @@ def test_pairwise_statistic_quadratic_form_oracle():
     for seed in range(10):
         inst = seeded_instance(seed, n=9, p=7, k=2)
         y = inst.observation
-        pi_t = build_projector(inst.design, inst.true_pattern).matrix()
-        for f in enumerate_patterns(7, 2):
-            pi_f = build_projector(inst.design, f).matrix()
+        qt = build_projector(inst.design, inst.true_pattern)
+        pi_t = qt @ qt.T
+        for f in all_patterns(7, 2):
+            qf = build_projector(inst.design, f)
+            pi_f = qf @ qf.T
             dense = float(y @ (pi_f - pi_t) @ y)
             assert abs(pairwise_statistic(inst, f) - dense) <= 1e-9
 
@@ -189,7 +208,7 @@ def test_pairwise_sign_agrees_with_decoder_preference():
     for seed in range(10):
         inst = seeded_instance(seed, n=8, p=9, k=2)
         s_true = score_support(inst, inst.true_pattern)
-        for f in enumerate_patterns(9, 2):
+        for f in all_patterns(9, 2):
             if f.indices == inst.true_pattern.indices:
                 continue
             prefers_f = score_support(inst, f) < s_true
@@ -222,14 +241,14 @@ def _deficient_instance(seed, copy_from, copy_to, factor, support):
 
 
 def _assert_matches_brute_force(inst, res):
-    rss = {f.indices: _lstsq_rss(inst, f) for f in enumerate_patterns(6, 2)}
+    rss = {f.indices: _lstsq_rss(inst, f) for f in all_patterns(6, 2)}
     ranked = sorted(rss.values())
     tol = 1e-9 * max(1.0, ranked[0])
     assert abs(res.score - ranked[0]) <= tol
     assert abs(res.runner_up_score - ranked[1]) <= 1e-9 * max(1.0, ranked[1])
     assert abs(rss[res.pattern.indices] - ranked[0]) <= tol
     # Every candidate, including the rank-1 ones, scores as least squares does.
-    for f in enumerate_patterns(6, 2):
+    for f in all_patterns(6, 2):
         assert abs(score_support(inst, f) - rss[f.indices]) <= 1e-9 * max(1.0, rss[f.indices])
     # score_support and the decoder loop share one kernel: identical bytes.
     assert score_support(inst, res.pattern) == res.score
@@ -246,7 +265,7 @@ def test_decode_duplicated_column_ties_break_lexicographically():
         assert res.runner_up_score == res.score
         assert score_support(inst, make_pattern([4, 5], 6)) == res.score
         # {0, 4} spans one dimension: the rank truncation keeps exactly one.
-        assert build_projector(inst.design, make_pattern([0, 4], 6)).rank == 1
+        assert build_projector(inst.design, make_pattern([0, 4], 6)).shape[1] == 1
 
 
 def test_decode_collinear_column_matches_least_squares():
@@ -258,7 +277,7 @@ def test_decode_collinear_column_matches_least_squares():
         _assert_matches_brute_force(inst, res)
         assert res.pattern.indices in ((1, 2), (2, 3))
         assert abs(res.runner_up_score - res.score) <= 1e-9 * max(1.0, res.score)
-        assert build_projector(inst.design, make_pattern([1, 3], 6)).rank == 1
+        assert build_projector(inst.design, make_pattern([1, 3], 6)).shape[1] == 1
 
 
 # ------------------------------------------ batched filter vs the exact loop

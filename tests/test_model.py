@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supportlab import decoder
 from supportlab.errors import ValidationError
 from supportlab.model import (
     DesignMatrix,
@@ -12,7 +14,6 @@ from supportlab.model import (
     SparseSignal,
     build_projector,
     column_space_basis,
-    enumerate_patterns,
     flat_signal,
     gaussian_design,
     make_pattern,
@@ -70,36 +71,63 @@ def test_pattern_difference_is_set_difference(a, b):
     assert set(pattern_difference(pa, pb).indices) == a - b
 
 
+# The exhaustive decoder enumerates its candidate patterns with
+# ``decoder._lex_chunks``: every size-k pattern once, in lexicographic order
+# (the order that fixes its tie-break), in chunks of at most CHUNK_SIZE rows.
+
+
+def _enumerated(p, k):
+    chunks = list(decoder._lex_chunks(p, k))
+    assert all(len(c) <= decoder.CHUNK_SIZE for c in chunks)
+    return [tuple(int(i) for i in row) for c in chunks for row in c]
+
+
 def test_enumerate_patterns_small():
-    patterns = list(enumerate_patterns(4, 2))
+    patterns = _enumerated(4, 2)
     assert len(patterns) == 6
-    assert patterns[0].indices == (0, 1)
-    assert patterns[-1].indices == (2, 3)
+    assert patterns[0] == (0, 1)
+    assert patterns[-1] == (2, 3)
+    assert patterns == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
 def test_enumerate_patterns_k_zero():
-    patterns = list(enumerate_patterns(3, 0))
-    assert len(patterns) == 1
-    assert patterns[0].indices == ()
+    # Exactly one size-0 pattern, the empty one; it is a valid pattern.
+    assert pattern_count(3, 0) == 1
+    assert list(itertools.combinations(range(3), 0)) == [()]
+    assert make_pattern([], 3).indices == ()
 
 
 def test_enumerate_patterns_count_factorial_oracle():
     # Independent count: 20! / (3! 17!)
     expected = math.factorial(20) // (math.factorial(3) * math.factorial(17))
     assert expected == 1140
-    assert sum(1 for _ in enumerate_patterns(20, 3)) == expected
+    patterns = _enumerated(20, 3)
+    assert len(patterns) == expected
+    assert len(set(patterns)) == expected
 
 
 def test_enumerate_patterns_counts_up_to_p16():
+    # C(16, 8) = 12870 spans several chunks.
+    assert pattern_count(16, 8) > 2 * decoder.CHUNK_SIZE
     for p in range(1, 17):
-        for k in range(0, p + 1):
-            seen = {patt.indices for patt in enumerate_patterns(p, k)}
-            assert len(seen) == pattern_count(p, k)
+        for k in range(1, p + 1):
+            patterns = _enumerated(p, k)
+            assert len(set(patterns)) == len(patterns) == pattern_count(p, k)
+            assert patterns == list(itertools.combinations(range(p), k))
 
 
-def test_enumerate_patterns_rejects_k_above_p():
-    with pytest.raises(ValidationError):
-        list(enumerate_patterns(3, 4))
+def test_pattern_count_factorial_oracle():
+    # Independent count: 20! / (3! 17!)
+    expected = math.factorial(20) // (math.factorial(3) * math.factorial(17))
+    assert expected == 1140
+    assert pattern_count(20, 3) == expected
+    assert pattern_count(3, 0) == pattern_count(3, 3) == 1
+
+
+def test_pattern_count_rejects_k_above_p():
+    for k in (4, -1):
+        with pytest.raises(ValidationError, match="need 0 <= k <= p"):
+            pattern_count(3, k)
 
 
 # ------------------------------------------------------------------- signals
@@ -207,37 +235,44 @@ def test_instance_rejects_nonfinite_observation(bad):
 
 
 # ----------------------------------------------------------------- projector
+# The projector Pi_F is held as its orthonormal basis Q (Pi_F = Q Q^T).
+
+
+def _project(q, v):
+    return q @ (q.T @ v)
 
 
 def test_projector_orthonormal_columns_exact():
     q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((8, 3)))
     design = DesignMatrix(entries=q)
     patt = make_pattern([0, 1, 2], 3)
-    proj = build_projector(design, patt)
+    basis = build_projector(design, patt)
+    assert basis.shape == (8, 3)
+    assert np.allclose(basis.T @ basis, np.eye(3), atol=1e-12)
     v = np.random.default_rng(4).standard_normal(8)
-    assert np.allclose(proj.apply(v), q @ (q.T @ v), atol=1e-12)
+    assert np.allclose(_project(basis, v), q @ (q.T @ v), atol=1e-12)
 
 
 def test_projector_duplicate_column_rank_one():
     col = np.random.default_rng(5).standard_normal((6, 1))
     design = DesignMatrix(entries=np.hstack([col, col]))
-    proj = build_projector(design, make_pattern([0, 1], 2))
-    assert proj.rank == 1
+    basis = build_projector(design, make_pattern([0, 1], 2))
+    assert basis.shape == (6, 1)
 
 
 def test_projector_full_rank_and_idempotent():
     gen = np.random.default_rng(SEED)
     for _ in range(20):
         design = DesignMatrix(entries=gen.standard_normal((8, 5)))
-        proj = build_projector(design, make_pattern([0, 2, 4], 5))
-        assert proj.rank == 3
+        basis = build_projector(design, make_pattern([0, 2, 4], 5))
+        assert basis.shape[1] == 3
         v = gen.standard_normal(8)
-        once = proj.apply(v)
-        assert np.linalg.norm(proj.apply(once) - once) <= 1e-10
+        once = _project(basis, v)
+        assert np.linalg.norm(_project(basis, once) - once) <= 1e-10
         # own columns are fixed points
         for j in (0, 2, 4):
             col = design.entries[:, j]
-            assert np.linalg.norm(col - proj.apply(col)) <= 1e-8 * np.linalg.norm(col)
+            assert np.linalg.norm(col - _project(basis, col)) <= 1e-8 * np.linalg.norm(col)
 
 
 def test_projector_idempotence_and_symmetry_random():
@@ -248,20 +283,24 @@ def test_projector_idempotence_and_symmetry_random():
         k = int(gen.integers(1, min(p, n) + 1))
         design = DesignMatrix(entries=gen.standard_normal((n, p)))
         patt = make_pattern(sorted(gen.choice(p, size=k, replace=False).tolist()), p)
-        proj = build_projector(design, patt)
+        basis = build_projector(design, patt)
         u = gen.standard_normal(n)
         v = gen.standard_normal(n)
-        assert np.linalg.norm(proj.apply(proj.apply(u)) - proj.apply(u)) < 1e-8
-        assert abs(proj.apply(u) @ v - u @ proj.apply(v)) < 1e-8
+        pu = _project(basis, u)
+        assert np.linalg.norm(_project(basis, pu) - pu) < 1e-8
+        assert abs(pu @ v - u @ _project(basis, v)) < 1e-8
+        dense = basis @ basis.T
+        assert np.linalg.norm(dense @ dense - dense) < 1e-8
+        assert np.linalg.norm(dense - dense.T) < 1e-12
 
 
 def test_empty_pattern_zero_projector():
     design = gaussian_design(5, 3, seed=SEED)
-    proj = build_projector(design, make_pattern([], 3))
-    assert proj.rank == 0
-    v = np.ones(5)
-    assert np.allclose(proj.apply(v), 0.0)
-    assert residual_energy(proj, v) == pytest.approx(5.0)
+    basis = build_projector(design, make_pattern([], 3))
+    assert basis.shape == (5, 0)
+    v = np.array([1.0, -2.0, 0.5, 3.0, 0.25])
+    assert np.array_equal(_project(basis, v), np.zeros(5))
+    assert residual_energy(basis, v) == float(v @ v)
 
 
 # ----------------------------------------------------------- residual energy
@@ -269,11 +308,11 @@ def test_empty_pattern_zero_projector():
 
 def test_residual_energy_in_span_and_orthogonal():
     design = DesignMatrix(entries=np.eye(4)[:, :2])
-    proj = build_projector(design, make_pattern([0, 1], 2))
+    basis = build_projector(design, make_pattern([0, 1], 2))
     in_span = np.array([1.0, -2.0, 0.0, 0.0])
-    assert residual_energy(proj, in_span) < 1e-12
+    assert residual_energy(basis, in_span) < 1e-12
     ortho = np.array([0.0, 0.0, 3.0, 4.0])
-    assert residual_energy(proj, ortho) == pytest.approx(25.0)
+    assert residual_energy(basis, ortho) == pytest.approx(25.0)
 
 
 def test_residual_energy_dense_formula_oracle():
@@ -282,11 +321,11 @@ def test_residual_energy_dense_formula_oracle():
         n, m = 10, 3
         x = gen.standard_normal((n, m))
         design = DesignMatrix(entries=x)
-        proj = build_projector(design, make_pattern(list(range(m)), m))
+        basis = build_projector(design, make_pattern(list(range(m)), m))
         v = gen.standard_normal(n)
         dense = v - x @ np.linalg.solve(x.T @ x, x.T @ v)
         expected = float(dense @ dense)
-        got = residual_energy(proj, v)
+        got = residual_energy(basis, v)
         assert abs(got - expected) <= 1e-10 * max(expected, 1.0)
         # 0 <= residual energy <= ||v||^2
         assert -1e-10 <= got <= float(v @ v) + 1e-10
@@ -294,9 +333,9 @@ def test_residual_energy_dense_formula_oracle():
 
 def test_residual_energy_dimension_mismatch():
     design = gaussian_design(5, 3, seed=SEED)
-    proj = build_projector(design, make_pattern([0], 3))
+    basis = build_projector(design, make_pattern([0], 3))
     with pytest.raises(ValidationError):
-        residual_energy(proj, np.ones(4))
+        residual_energy(basis, np.ones(4))
 
 
 def _deficient_stack(gen, count, n, m):

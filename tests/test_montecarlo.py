@@ -1,3 +1,4 @@
+import os
 from unittest import mock
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supportlab import montecarlo, rng
+from supportlab import cli, montecarlo, rng
 from supportlab.bounds import averaged_pairwise_bound
+from supportlab.decoder import DEFAULT_CANDIDATE_BUDGET, DecodeResult
 from supportlab.errors import BudgetError, ValidationError
-from supportlab.model import DesignMatrix, build_projector, gaussian_design
+from supportlab.model import DesignMatrix, build_projector, gaussian_design, pattern_count
 from supportlab.montecarlo import (
     BLOCK,
     ExperimentSpec,
@@ -150,8 +152,8 @@ def _loop_pairwise(spec, design0=None):
                 entries = rng.stream(spec.master_seed, rng.KIND_DESIGN, i).standard_normal(
                     (spec.n, spec.p))
                 design = DesignMatrix(entries=entries)
-            qt = build_projector(design, t_patt).basis
-            qf = build_projector(design, f_patt).basis
+            qt = build_projector(design, t_patt)
+            qf = build_projector(design, f_patt)
             if spec.design_mode == "fixed":
                 union = np.linalg.matrix_rank(np.hstack([qt, qf]))
                 if union == qt.shape[1] == qf.shape[1]:
@@ -307,6 +309,30 @@ def test_recovery_budget_error():
     spec = recovery_spec(p=30, k=6, n=12)
     with pytest.raises(BudgetError, match=r"C\(30,6\)"):
         run_full_recovery(spec, max_candidates=1000)
+
+
+def test_recovery_passes_the_candidate_cap_to_every_decode(monkeypatch):
+    # C(30, 8) = 5 852 925 is above the default budget, so a cap raised past
+    # it must reach each decode, not only the check made before the trials.
+    # The spy stands in for the decode: a real one of that size is too slow.
+    caps = []
+
+    def spy(inst, max_candidates=DEFAULT_CANDIDATE_BUDGET):
+        caps.append(max_candidates)
+        return DecodeResult(pattern=inst.true_pattern, score=0.0, runner_up_score=0.0,
+                            candidates_scored=pattern_count(inst.p, inst.k))
+
+    monkeypatch.setattr(montecarlo, "decode_exhaustive", spy)
+    assert pattern_count(30, 8) > DEFAULT_CANDIDATE_BUDGET
+    result = run_full_recovery(recovery_spec(n=40, p=30, k=8, trials=3),
+                               max_candidates=6_000_000)
+    assert (result.trials, result.error_count) == (3, 0)
+    assert caps == [6_000_000] * 3
+    caps.clear()
+    assert cli.main(["mc", "recover", "--n", "40", "--p", "30", "--k", "8",
+                     "--trials", "2", "--cap-candidates", "6000000",
+                     "--out", os.devnull]) == 0
+    assert caps == [6_000_000] * 2
 
 
 def test_recovery_rejects_fixed_design():
