@@ -13,7 +13,9 @@ process.  ``--config PATH`` is replayed as flag tokens (``--flag=value``)
 placed after the command words and before the explicit flags: each config
 value goes through its flag's own type and choices, satisfies required flags,
 and loses to an explicit flag.  A repeated ``--config`` is rejected, and a
-config value its flag rejects is reported with the config's path.
+config value its flag rejects, or that fails a check made after parsing whose
+message starts with the flag (``--support has 1 indices, need k=2``), is
+reported with the config's path.
 
 Exit codes: 0 success, 1 check/assertion failure, 2 usage/validation error.
 """
@@ -703,6 +705,19 @@ def _replay_config(argv: list[str], path: str, registry: dict) -> tuple[list, li
     return argv[:len(words)] + tokens + argv[len(words):], tokens
 
 
+def _config_options(sub: _Parser, explicit: list[str], tokens: list[str]) -> set[str]:
+    """The options whose value came from the replayed config ``tokens``: those
+    the ``explicit`` argv does not give again, in full or by an abbreviation
+    argparse accepts (a prefix of exactly one option)."""
+    options = [option for option, _ in sub.flags.values()]
+    given = set()
+    for name in (tok.partition("=")[0] for tok in explicit if tok.startswith("--")):
+        matches = [name] if name in options else [o for o in options if o.startswith(name)]
+        if len(matches) == 1:
+            given.add(matches[0])
+    return {tok.partition("=")[0] for tok in tokens} - given
+
+
 def _check_args(args) -> None:
     """Checks that hold before any work is done."""
     if getattr(args, "workers", 1) < 1:
@@ -714,7 +729,7 @@ def _check_args(args) -> None:
 def _run(argv: list[str]) -> int:
     parser, registry = _parser()
     config_path = _prescan_config(argv)
-    tokens: list = []
+    explicit, tokens = argv, []
     if config_path is not None:
         argv, tokens = _replay_config(argv, config_path, registry)
     replayed = _REPLAYED.set((config_path, tokens))
@@ -724,14 +739,18 @@ def _run(argv: list[str]) -> int:
         _REPLAYED.reset(replayed)
     if args.config != config_path:  # argparse also accepts an abbreviated --config
         raise SupportLabError("--config must be spelled out in full")
-    _check_args(args)
-
-    if args.emit_config:
-        params = {k: v for k, v in vars(args).items() if k not in _HOUSEKEEPING}
-        with open(args.emit_config, "w", encoding="utf-8") as fh:
-            fh.write(_json_text({"command": list(_command_path(args)), "params": params}))
-
-    return args.func(args)
+    try:
+        _check_args(args)
+        if args.emit_config:
+            params = {k: v for k, v in vars(args).items() if k not in _HOUSEKEEPING}
+            with open(args.emit_config, "w", encoding="utf-8") as fh:
+                fh.write(_json_text({"command": list(_command_path(args)), "params": params}))
+        return args.func(args)
+    except SupportLabError as exc:
+        option = str(exc).partition(" ")[0]
+        if tokens and option in _config_options(registry[_command_path(args)], explicit, tokens):
+            raise SupportLabError(f"config {config_path}: {exc}") from exc
+        raise
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

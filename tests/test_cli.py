@@ -295,9 +295,12 @@ def test_config_explicit_flags_override(tmp_path):
 # -------------------------------------------------------------------- verify
 
 
-def test_verify_passes_and_fault_injection_fails():
+def test_verify_passes_and_fault_injection_fails(capsys):
     assert run(["verify"]) == 0
+    capsys.readouterr()
     assert run(["verify", "--inject-fault"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert [line.split(":")[0] for line in failed] == ["FAIL chernoff-constants"]
 
 
 def test_verify_verbose_prints_residuals(capsys):
@@ -441,9 +444,38 @@ def test_config_values_go_through_their_flags_parsers(key, value, message, tmp_p
     out = tmp_path / "b.csv"
     assert exit_code(["mc", "recover", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert message in err
-    if message.startswith("argument"):  # rejected by the flag's own parser
-        assert f"error: config {cfg}: {message}" in err
+    assert f"error: config {cfg}: {message}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, flag, message", [
+    ("support", 5, ["--support", "5"], "--support has 1 indices, need k=2"),
+    ("support", 5, ["--supp=5"], "--support has 1 indices, need k=2"),
+    ("workers", 0, ["--workers", "0"], "--workers must be >= 1, got 0"),
+])
+def test_cross_flag_check_names_the_config_only_for_its_own_value(key, value, flag, message,
+                                                                  tmp_path, capsys):
+    # A value that parses but fails a check made after parsing is blamed on
+    # the config only when the config gave it; the same value typed as a flag
+    # (in full or abbreviated) reads as it does without a config.
+    cfg = tmp_path / "cfg.json"
+    assert run(MC_RECOVER + ["--emit-config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
+    data = json.loads(cfg.read_text())
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    data["params"][key] = value
+    bad.write_text(json.dumps(data))
+    data["params"][key] = None
+    good.write_text(json.dumps(data))
+    out = tmp_path / "b.csv"
+    for argv, expected in [
+        (["--config", str(bad)], f"error: config {bad}: {message}\n"),
+        (["--config", str(bad)] + flag, f"error: {message}\n"),
+        (["--config", str(good)] + flag, f"error: {message}\n"),
+        (MC_RECOVER[2:] + flag, f"error: {message}\n"),
+    ]:
+        capsys.readouterr()
+        assert run(["mc", "recover"] + argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == expected
     assert not out.exists()
 
 

@@ -1,9 +1,10 @@
 """Byte-for-byte golden outputs of the CLI.
 
 Each case is an argv whose stdout-equivalent ``--out`` file must match the
-committed file in ``tests/golden/`` exactly.  The Monte Carlo cases pin the
-current stream layout (one Philox stream per seed, kind and trial), so a
-change to that layout shows up here first.  Monte Carlo and sweep cases also
+committed file in ``tests/golden/`` exactly; a command without ``--out``
+(``verify``) has its stdout bytes and exit code pinned instead.  The Monte
+Carlo cases pin the current stream layout (one Philox stream per seed, kind
+and trial), so a change to that layout shows up here first.  Monte Carlo and sweep cases also
 run at several ``--workers`` values, none of which may change a byte.
 
 Regenerate deliberately, and record why in CHANGES.md:
@@ -13,6 +14,8 @@ Regenerate deliberately, and record why in CHANGES.md:
 
 from __future__ import annotations
 
+import contextlib
+import io
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +76,13 @@ CASES = [
       "--beta-min-sq", "1.0"], ()),
 ]
 
+# (name, argv, exit code) for commands that write only to stdout.
+STDOUT_CASES = [
+    ("verify_verbose", ["verify", "--verbose"], 0),
+    # Negative control: only chernoff-constants fails.
+    ("verify_inject_fault_verbose", ["verify", "--inject-fault", "--verbose"], 1),
+]
+
 
 def _suffix(argv: list[str]) -> str:
     return ".csv" if argv[0] in ("mc", "sweep") else ".json"
@@ -96,6 +106,19 @@ def test_golden_bytes(name, argv, tmp_path):
     assert out.read_bytes() == _golden_path(name, argv).read_bytes()
 
 
+def _stdout_of(argv: list[str]) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("name, argv, code", STDOUT_CASES,
+                         ids=[name for name, _, _ in STDOUT_CASES])
+def test_golden_stdout(name, argv, code):
+    assert _stdout_of(argv) == (code, (GOLDEN / f"{name}.txt").read_bytes().decode())
+
+
 def _write_duplicate_instance() -> None:
     """n=10, p=6 design with column 5 a copy of column 1 and column 6 twice
     column 2 (1-based), true support {1, 3}."""
@@ -116,6 +139,11 @@ def regenerate() -> None:
         code = main(argv + ["--out", str(_golden_path(name, argv))])
         if code != 0:
             raise SystemExit(f"{name}: exit {code}")
+    for name, argv, expected in STDOUT_CASES:
+        code, text = _stdout_of(argv)
+        if code != expected:
+            raise SystemExit(f"{name}: exit {code}, expected {expected}")
+        (GOLDEN / f"{name}.txt").write_bytes(text.encode())
 
 
 if __name__ == "__main__":

@@ -7,6 +7,8 @@ import importlib
 import pathlib
 import runpy
 
+from supportlab import verify
+
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -20,3 +22,22 @@ def test_every_traced_name_resolves_in_the_package():
                if not callable(getattr(importlib.import_module(f"supportlab.{module}"),
                                        attr, None))]
     assert missing == []
+
+
+def test_run_all_calls_exactly_the_traced_verify_checks(monkeypatch):
+    # Every check run_all calls, on the calling thread or on its helper, must
+    # be a traced verify layer, and every traced check must be called.
+    spans = runpy.run_path(str(SPANS))
+    called = []
+
+    def stub(attr):
+        def check(*args, **kwargs):
+            called.append(attr)
+            return verify.CheckResult(attr, True, "")
+        return check
+
+    for attr in dir(verify):
+        if attr.startswith("check_") and callable(getattr(verify, attr)):
+            monkeypatch.setattr(verify, attr, stub(attr))
+    verify.run_all()
+    assert sorted(called) == sorted(spans["VERIFY_CHECKS"])
