@@ -13,9 +13,10 @@ process.  ``--config PATH`` is replayed as flag tokens (``--flag=value``)
 placed after the command words and before the explicit flags: each config
 value goes through its flag's own type and choices, satisfies required flags,
 and loses to an explicit flag.  A repeated ``--config`` is rejected, and a
-config value its flag rejects, or that fails a check made after parsing whose
-message starts with the flag (``--support has 1 indices, need k=2``), is
-reported with the config's path.
+config value its flag rejects is reported with the config's path.  So is a
+check made after parsing that fails (``need n > k, got n=2, k=3``) when any
+value it compares came from the config; the same values typed as flags keep
+the plain message.
 
 Exit codes: 0 success, 1 check/assertion failure, 2 usage/validation error.
 """
@@ -117,6 +118,28 @@ def parse_int_list(text: str) -> list[int]:
     return [checked_int(s) for s in text.replace(" ", "").split(",") if s]
 
 
+class _reading:
+    """Names ``dests`` as the values compared by a check that fails inside the
+    ``with`` block, unless its error already names them.  A class, not a
+    generator: it runs on every op that reads a seed or an index list."""
+
+    def __init__(self, *dests: str):
+        self.dests = dests
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if isinstance(exc, SupportLabError) and not exc.params:
+            exc.params = self.dests
+
+
+def _parsed(args, dest: str, parse):
+    """``parse`` applied to the text of flag ``dest``."""
+    with _reading(dest):
+        return parse(getattr(args, dest))
+
+
 def _write_text(path: Optional[str], text: str) -> None:
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -168,7 +191,8 @@ def _emit_record(args, record: dict) -> None:
 
 def _build_signal(args, pattern) -> SparseSignal:
     if getattr(args, "beta", None):
-        return SparseSignal(pattern=pattern, values=np.array(parse_float_list(args.beta)))
+        values = np.array(_parsed(args, "beta", parse_float_list))
+        return SparseSignal(pattern=pattern, values=values)
     return flat_signal(pattern, args.beta_min)
 
 
@@ -176,9 +200,10 @@ def _true_indices(args) -> list[int]:
     """The 0-based true support: ``--support`` (k indices), else the first k."""
     if not args.support:
         return list(range(args.k))
-    indices = parse_index_list(args.support)
+    indices = _parsed(args, "support", parse_index_list)
     if len(indices) != args.k:
-        raise ValidationError(f"--support has {len(indices)} indices, need k={args.k}")
+        raise ValidationError(f"--support has {len(indices)} indices, need k={args.k}",
+                              params=("support", "k"))
     return indices
 
 
@@ -257,7 +282,7 @@ def _bound_record(report: bounds.BoundReport, extra: dict) -> dict:
 
 def cmd_bound_pairwise(args) -> int:
     t_patt = make_pattern(_true_indices(args), args.p)
-    f_patt = make_pattern(parse_index_list(args.wrong), args.p)
+    f_patt = make_pattern(_parsed(args, "wrong", parse_index_list), args.p)
     signal = _build_signal(args, t_patt)
     design = gaussian_design(args.n, args.p, args.seed)
     report = bounds.pairwise_conditional_bound(design, signal, t_patt, f_patt)
@@ -270,7 +295,8 @@ def cmd_bound_pairwise(args) -> int:
 
 
 def cmd_bound_averaged(args) -> int:
-    report = bounds.averaged_pairwise_bound(args.n, args.k, args.d, args.miss_energy)
+    with _reading("n", "k", "d", "miss_energy"):
+        report = bounds.averaged_pairwise_bound(args.n, args.k, args.d, args.miss_energy)
     _emit_record(args, _bound_record(report, {
         "kind": "averaged", "n": args.n, "k": args.k, "miss_energy": args.miss_energy,
     }))
@@ -278,7 +304,8 @@ def cmd_bound_averaged(args) -> int:
 
 
 def cmd_bound_union_sum(args) -> int:
-    report = bounds.union_error_bound_sum(args.n, args.p, args.k, args.beta_min_sq)
+    with _reading("n", "p", "k", "beta_min_sq"):
+        report = bounds.union_error_bound_sum(args.n, args.p, args.k, args.beta_min_sq)
     _emit_record(args, _bound_record(report, {
         "kind": "union-sum", "n": args.n, "p": args.p, "k": args.k,
         "beta_min_sq": args.beta_min_sq,
@@ -287,9 +314,10 @@ def cmd_bound_union_sum(args) -> int:
 
 
 def cmd_bound_union_closed(args) -> int:
-    report = bounds.union_error_bound_closed_form(
-        args.n, args.p, args.k, args.beta_min_sq, args.C
-    )
+    with _reading("n", "p", "k", "beta_min_sq", "C"):
+        report = bounds.union_error_bound_closed_form(
+            args.n, args.p, args.k, args.beta_min_sq, args.C
+        )
     _emit_record(args, _bound_record(report, {
         "kind": "union-closed", "n": args.n, "p": args.p, "k": args.k,
         "beta_min_sq": args.beta_min_sq, "C": args.C, "B": (args.C - 5.0) / 2.0,
@@ -299,7 +327,7 @@ def cmd_bound_union_closed(args) -> int:
 
 def cmd_bound_mgf(args) -> int:
     t_patt = make_pattern(_true_indices(args), args.p)
-    f_patt = make_pattern(parse_index_list(args.wrong), args.p)
+    f_patt = make_pattern(_parsed(args, "wrong", parse_index_list), args.p)
     signal = _build_signal(args, t_patt)
     design = gaussian_design(args.n, args.p, args.seed)
     value = bounds.exact_quadratic_log_mgf(design, signal, t_patt, f_patt, args.t)
@@ -313,9 +341,9 @@ def cmd_bound_mgf(args) -> int:
 def _conditions_grid_rows(args) -> list[list]:
     rows = []
     points = []
-    if args.point:
-        for text in args.point:
-            parts = text.split(":")
+    for text in args.point or []:
+        parts = text.split(":")
+        with _reading("point"):
             if len(parts) != 3:
                 raise SupportLabError(f"--point needs p:k:beta_min_sq, got {text!r}")
             points.append((checked_int(parts[0]), checked_int(parts[1]), finite_float(parts[2])))
@@ -332,7 +360,8 @@ def _conditions_grid_rows(args) -> list[list]:
 
 def cmd_conditions(args) -> int:
     if args.regime:
-        p_grid = parse_int_list(args.p_grid) if args.p_grid else [2**e for e in range(6, 13)]
+        p_grid = (_parsed(args, "p_grid", parse_int_list) if args.p_grid
+                  else [2**e for e in range(6, 13)])
         rows = []
         ok_rows = 0
         try:
@@ -363,11 +392,14 @@ def _spec_from_args(args, target: str) -> montecarlo.ExperimentSpec:
         target=target,
         design_mode=args.design_mode,
         beta_min=args.beta_min,
-        beta_values=tuple(parse_float_list(args.beta)) if getattr(args, "beta", None) else None,
+        beta_values=(
+            tuple(_parsed(args, "beta", parse_float_list)) if getattr(args, "beta", None) else None
+        ),
         true_pattern=tuple(_true_indices(args)) if args.support else None,
         random_true_pattern=getattr(args, "random_support", False),
         wrong_pattern=(
-            tuple(parse_index_list(args.wrong)) if getattr(args, "wrong", None) else None
+            tuple(_parsed(args, "wrong", parse_index_list)) if getattr(args, "wrong", None)
+            else None
         ),
         noiseless=getattr(args, "noiseless", False),
         level=args.level,
@@ -410,12 +442,16 @@ def cmd_mc_recover(args) -> int:
 def cmd_sweep(args) -> int:
     target = args.target
     base = _spec_from_args(args, target)
-    if args.vary in ("n", "p", "k", "trials"):
-        values: list = parse_int_list(args.values)
-    elif args.vary == "beta_min":
-        values = parse_float_list(args.values)
-    else:
-        raise SupportLabError(f"--vary must be one of n,p,k,trials,beta_min, got {args.vary!r}")
+    with _reading("vary", "values"):
+        if args.vary in ("n", "p", "k", "trials"):
+            values: list = parse_int_list(args.values)
+        elif args.vary == "beta_min":
+            values = parse_float_list(args.values)
+        else:
+            raise SupportLabError(
+                f"--vary must be one of n,p,k,trials,beta_min, got {args.vary!r}",
+                params=("vary",),
+            )
     specs = [dataclasses.replace(base, **{args.vary: v}) for v in values]
     rows = montecarlo.sweep(specs)
     csv_rows = [_mc_row(row.spec, row.result, row.error) for row in rows]
@@ -705,25 +741,31 @@ def _replay_config(argv: list[str], path: str, registry: dict) -> tuple[list, li
     return argv[:len(words)] + tokens + argv[len(words):], tokens
 
 
-def _config_options(sub: _Parser, explicit: list[str], tokens: list[str]) -> set[str]:
-    """The options whose value came from the replayed config ``tokens``: those
+#: ``ExperimentSpec`` fields, as its errors name them, whose flag has another dest.
+_SPEC_DESTS = {"master_seed": "seed", "beta_values": "beta", "true_pattern": "support",
+               "wrong_pattern": "wrong", "random_true_pattern": "random_support"}
+
+
+def _config_dests(sub: _Parser, explicit: list[str], tokens: list[str]) -> set[str]:
+    """The dests whose value came from the replayed config ``tokens``: those
     the ``explicit`` argv does not give again, in full or by an abbreviation
     argparse accepts (a prefix of exactly one option)."""
-    options = [option for option, _ in sub.flags.values()]
+    dests = {option: dest for dest, (option, _) in sub.flags.items()}
     given = set()
     for name in (tok.partition("=")[0] for tok in explicit if tok.startswith("--")):
-        matches = [name] if name in options else [o for o in options if o.startswith(name)]
+        matches = [name] if name in dests else [o for o in dests if o.startswith(name)]
         if len(matches) == 1:
             given.add(matches[0])
-    return {tok.partition("=")[0] for tok in tokens} - given
+    return {dests[tok.partition("=")[0]] for tok in tokens} - {dests[o] for o in given}
 
 
 def _check_args(args) -> None:
     """Checks that hold before any work is done."""
     if getattr(args, "workers", 1) < 1:
-        raise ValidationError(f"--workers must be >= 1, got {args.workers}")
+        raise ValidationError(f"--workers must be >= 1, got {args.workers}", params=("workers",))
     if getattr(args, "seed", None) is not None:
-        rng.check_seed(args.seed)
+        with _reading("seed"):
+            rng.check_seed(args.seed)
 
 
 def _run(argv: list[str]) -> int:
@@ -747,8 +789,8 @@ def _run(argv: list[str]) -> int:
                 fh.write(_json_text({"command": list(_command_path(args)), "params": params}))
         return args.func(args)
     except SupportLabError as exc:
-        option = str(exc).partition(" ")[0]
-        if tokens and option in _config_options(registry[_command_path(args)], explicit, tokens):
+        compared = {_SPEC_DESTS.get(name, name) for name in exc.params}
+        if tokens and compared & _config_dests(registry[_command_path(args)], explicit, tokens):
             raise SupportLabError(f"config {config_path}: {exc}") from exc
         raise
 

@@ -2,7 +2,16 @@
 
 
 class SupportLabError(Exception):
-    """Base class for all supportlab errors."""
+    """Base class for all supportlab errors.
+
+    ``params`` names the parameters whose values the failed check compared,
+    where the raiser knows them; the CLI uses it to tell whether one of those
+    values came from a config file.
+    """
+
+    def __init__(self, *args, params: tuple[str, ...] = ()):
+        super().__init__(*args)
+        self.params = params
 
 
 class ValidationError(SupportLabError, ValueError):

@@ -71,49 +71,62 @@ class ExperimentSpec:
     level: float = 0.95
 
     def validate(self) -> None:
+        """Raise ``ValidationError`` for an inconsistent spec; its ``params``
+        name the fields the failed condition compares."""
         # Recovery admits the degenerate p == k (a single candidate support,
         # which the decoder always declares); pairwise needs room for F != T.
         if not (self.p >= self.k >= 1):
-            raise ValidationError(f"need p >= k >= 1, got p={self.p}, k={self.k}")
+            raise ValidationError(f"need p >= k >= 1, got p={self.p}, k={self.k}",
+                                  params=("p", "k"))
         if self.target == TARGET_PAIRWISE and self.p <= self.k:
-            raise ValidationError(f"pairwise target needs p > k, got p={self.p}, k={self.k}")
+            raise ValidationError(f"pairwise target needs p > k, got p={self.p}, k={self.k}",
+                                  params=("p", "k"))
         if self.n < 1:
-            raise ValidationError(f"need n >= 1, got n={self.n}")
+            raise ValidationError(f"need n >= 1, got n={self.n}", params=("n",))
         if self.trials < 1:
-            raise ValidationError(f"need trials >= 1, got {self.trials}")
+            raise ValidationError(f"need trials >= 1, got {self.trials}", params=("trials",))
         if not 0.0 < self.level < 1.0:
-            raise ValidationError(f"confidence level must be in (0,1), got {self.level}")
+            raise ValidationError(f"confidence level must be in (0,1), got {self.level}",
+                                  params=("level",))
         if self.target not in (TARGET_PAIRWISE, TARGET_RECOVERY):
-            raise ValidationError(f"unknown target {self.target!r}")
+            raise ValidationError(f"unknown target {self.target!r}", params=("target",))
         if self.design_mode not in (DESIGN_FIXED, DESIGN_FRESH):
-            raise ValidationError(f"unknown design mode {self.design_mode!r}")
+            raise ValidationError(f"unknown design mode {self.design_mode!r}",
+                                  params=("design_mode",))
         if self.beta_values is not None and len(self.beta_values) != self.k:
             raise ValidationError(
-                f"explicit beta has {len(self.beta_values)} entries, need k={self.k}"
+                f"explicit beta has {len(self.beta_values)} entries, need k={self.k}",
+                params=("beta_values", "k"),
             )
         if self.true_pattern is not None and len(self.true_pattern) != self.k:
             raise ValidationError(
-                f"true pattern has {len(self.true_pattern)} indices, need k={self.k}"
+                f"true pattern has {len(self.true_pattern)} indices, need k={self.k}",
+                params=("true_pattern", "k"),
             )
         if self.beta_values is None and self.beta_min <= 0:
-            raise ValidationError(f"beta_min must be positive, got {self.beta_min}")
+            raise ValidationError(f"beta_min must be positive, got {self.beta_min}",
+                                  params=("beta_min",))
         if self.target == TARGET_PAIRWISE:
             if self.wrong_pattern is None:
-                raise ValidationError("pairwise target needs a wrong pattern F")
+                raise ValidationError("pairwise target needs a wrong pattern F",
+                                      params=("wrong_pattern",))
             if self.random_true_pattern:
                 raise ValidationError(
-                    "pairwise target needs a fixed true pattern (d must be well defined)"
+                    "pairwise target needs a fixed true pattern (d must be well defined)",
+                    params=("random_true_pattern",),
                 )
             if len(self.wrong_pattern) != self.k:
                 raise ValidationError(
-                    f"wrong pattern has {len(self.wrong_pattern)} indices, need k={self.k}"
+                    f"wrong pattern has {len(self.wrong_pattern)} indices, need k={self.k}",
+                    params=("wrong_pattern", "k"),
                 )
         if self.target == TARGET_RECOVERY and self.design_mode != DESIGN_FRESH:
             raise ValidationError(
-                "full-recovery experiments average over the design: use design_mode='fresh'"
+                "full-recovery experiments average over the design: use design_mode='fresh'",
+                params=("design_mode",),
             )
         if self.n <= self.k and self._bound_needs_n_above_k():
-            raise ValidationError(f"need n > k, got n={self.n}, k={self.k}")
+            raise ValidationError(f"need n > k, got n={self.n}, k={self.k}", params=("n", "k"))
 
     def _bound_needs_n_above_k(self) -> bool:
         """Whether the bound ``_attach_bound`` will evaluate is the union bound

@@ -12,6 +12,11 @@ other eight run on the calling thread: its standard-normal fills release the
 interpreter lock, so they overlap the Python-bound checks on a second core.
 Every check keeps its own stream, so the results, their order and the CLI
 output are those of a serial run.
+
+Working memory stays bounded whatever the sample or grid size: each sampled
+check draws, transforms and sums at most ``SAMPLE_BLOCK`` rows at a time, in
+place, and the Chernoff grid is built and scanned ``SAMPLE_BLOCK`` points at a
+time, never as one array.
 """
 
 from __future__ import annotations
@@ -46,9 +51,14 @@ from .model import (
 
 DEFAULT_VERIFY_SEED = 20260811
 
-#: Rows per draw in the sampled-MGF checks, which accumulate their sums block
-#: by block so that memory stays bounded whatever the sample count.
-SAMPLE_BLOCK = 1 << 15
+#: Rows per draw in the sampled-MGF checks, and points per slice of the
+#: Chernoff grid; sums and minima are accumulated block by block, so memory
+#: stays bounded whatever the sample count or grid size.
+SAMPLE_BLOCK = 1 << 13
+
+#: The Chernoff grid: ``np.linspace(*CHERNOFF_GRID)``, open at both ends of
+#: the rate's domain (-1/2, 1/2).
+CHERNOFF_GRID = (-0.5 + 1e-6, 0.5 - 1e-6, 1_000_000)
 
 
 @dataclass(frozen=True)
@@ -76,12 +86,14 @@ def _sampled_log_mgf(
     rows x of length ``dim``, drawn from ``gen`` ``SAMPLE_BLOCK`` rows at a time.
 
     Consecutive block draws continue the stream, so the rows are the same as
-    those of one (samples, dim) draw.
+    those of one (samples, dim) draw.  ``statistic`` owns the block it is
+    given and may overwrite it.
     """
     total = 0.0
     for start in range(0, samples, SAMPLE_BLOCK):
-        rows = gen.standard_normal((min(SAMPLE_BLOCK, samples - start), dim))
-        total += float(np.sum(np.exp(t * statistic(rows))))
+        # No name holds a block, so it is freed before the next one is drawn.
+        count = min(SAMPLE_BLOCK, samples - start)
+        total += float(np.sum(np.exp(t * statistic(gen.standard_normal((count, dim))))))
     return math.log(total / samples)
 
 
@@ -103,23 +115,35 @@ def _random_instance(gen: np.random.Generator, n_max: int = 32, k_max: int = 4):
     return design, signal, t_patt, f_patt
 
 
+def _grid_slice(lo: float, hi: float, num: int, start: int, stop: int) -> np.ndarray:
+    """Points ``start:stop`` of ``np.linspace(lo, hi, num)``, bit for bit, built
+    with linspace's own arithmetic (index times step, plus ``lo``; the last
+    point is ``hi``) without the rest of the grid."""
+    step = np.subtract(hi, lo, dtype=float) / (num - 1)
+    ts = np.arange(start, stop, dtype=float) * step + lo
+    if stop == num:
+        ts[-1] = hi
+    return ts
+
+
 def check_chernoff_constants(c_override: float | None = None) -> CheckResult:
     """Grid-minimize 2t^2/(1-2t) - t over (-0.5, 0.5) and compare the constants.
 
-    The grid is evaluated ``SAMPLE_BLOCK`` points at a time; the strict ``<``
-    across blocks keeps the first minimum, as one ``argmin`` over the grid would.
+    The grid is built and evaluated ``SAMPLE_BLOCK`` points at a time; the
+    strict ``<`` across slices keeps the first minimum, as one ``argmin`` over
+    the grid would, and t at that minimum is read from the slice holding it.
     """
     c = CHERNOFF_C if c_override is None else c_override
-    ts = np.linspace(-0.5 + 1e-6, 0.5 - 1e-6, 1_000_000)
-    i, best = 0, math.inf
-    for start in range(0, ts.size, SAMPLE_BLOCK):
-        block = ts[start:start + SAMPLE_BLOCK]
-        vals = 2.0 * block * block / (1.0 - 2.0 * block) - block
+    lo, hi, num = CHERNOFF_GRID
+    t_best, best = math.nan, math.inf
+    for start in range(0, num, SAMPLE_BLOCK):
+        ts = _grid_slice(lo, hi, num, start, min(start + SAMPLE_BLOCK, num))
+        vals = 2.0 * ts * ts / (1.0 - 2.0 * ts) - ts
         j = int(np.argmin(vals))
         if vals[j] < best:
-            i, best = start + j, float(vals[j])
+            t_best, best = ts[j], float(vals[j])
     min_err = abs(best - CHERNOFF_MIN)
-    t_err = abs(ts[i] - CHERNOFF_T_STAR)
+    t_err = abs(t_best - CHERNOFF_T_STAR)
     c_err = abs(c + CHERNOFF_MIN)
     ok = min_err < 1e-9 and t_err < 1e-4 and c_err < 1e-14
     return CheckResult(
@@ -190,7 +214,7 @@ def check_exact_mgf_sampling(
     mu = design.submatrix(t_patt) @ signal.values
 
     def z(noise):
-        ys = mu[None, :] + noise
+        ys = np.add(noise, mu, out=noise)
         return np.sum((ys @ qf) ** 2, axis=1) - np.sum((ys @ qt) ** 2, axis=1)
 
     sampled = _sampled_log_mgf(rng.stream(seed, 104), samples, n, z, t)
@@ -208,7 +232,8 @@ def check_chi_square_mgf(
     t = -CHERNOFF_C
     exact = chi_square_log_mgf(t, dof)
     sampled = _sampled_log_mgf(
-        rng.stream(seed, 105), samples, dof, lambda noise: np.sum(noise**2, axis=1), t
+        rng.stream(seed, 105), samples, dof,
+        lambda noise: np.sum(np.square(noise, out=noise), axis=1), t,
     )
     rel = abs(sampled - exact) / abs(exact)
     ok = rel < 0.01

@@ -449,15 +449,16 @@ def test_config_values_go_through_their_flags_parsers(key, value, message, tmp_p
 
 
 @pytest.mark.parametrize("key, value, flag, message", [
-    ("support", 5, ["--support", "5"], "--support has 1 indices, need k=2"),
-    ("support", 5, ["--supp=5"], "--support has 1 indices, need k=2"),
+    ("support", 5, ["--support", "5", "--k", "2"], "--support has 1 indices, need k=2"),
+    ("support", 5, ["--supp=5", "--k=2"], "--support has 1 indices, need k=2"),
     ("workers", 0, ["--workers", "0"], "--workers must be >= 1, got 0"),
 ])
 def test_cross_flag_check_names_the_config_only_for_its_own_value(key, value, flag, message,
                                                                   tmp_path, capsys):
     # A value that parses but fails a check made after parsing is blamed on
-    # the config only when the config gave it; the same value typed as a flag
-    # (in full or abbreviated) reads as it does without a config.
+    # the config only when the config gave it; the same values typed as flags
+    # (in full or abbreviated; the --support check also compares k) read as
+    # they do without a config.
     cfg = tmp_path / "cfg.json"
     assert run(MC_RECOVER + ["--emit-config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
     data = json.loads(cfg.read_text())
@@ -475,6 +476,43 @@ def test_cross_flag_check_names_the_config_only_for_its_own_value(key, value, fl
     ]:
         capsys.readouterr()
         assert run(["mc", "recover"] + argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == expected
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("words, base, params, message", [
+    (["mc", "recover"], ["--p", "7", "--trials", "5"], {"n": 2, "k": 3},
+     "need n > k, got n=2, k=3"),
+    (["mc", "recover"], ["--p", "7", "--trials", "5"], {"support": "0,1"},
+     "indices at the CLI are 1-based; got 0"),
+    (["mc", "pairwise"], ["--p", "7", "--trials", "5"], {"wrong": "1,2,3"},
+     "wrong pattern has 3 indices, need k=2"),
+    (["bound", "union-sum"], ["--p", "7", "--beta-min-sq", "1"], {"n": 2, "k": 3},
+     "need n > k, got n=2, k=3"),
+], ids=["recover-n-k", "recover-support", "pairwise-wrong", "union-sum-n-k"])
+def test_failed_check_names_the_config_when_a_value_it_compares_came_from_it(
+        words, base, params, message, tmp_path, capsys):
+    # The message need not start with a flag: the config is named when any
+    # value the failed check compares came from it, and only then.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": words, "params": params}))
+    flags = [tok for key, value in params.items() for tok in (f"--{key}", str(value))]
+    cases = [
+        (["--config", str(cfg)], f"error: config {cfg}: {message}\n"),
+        (flags, f"error: {message}\n"),
+        (["--config", str(cfg)] + flags, f"error: {message}\n"),
+    ]
+    if set(params) == {"n", "k"}:
+        # Mixed: n from the config and k from a flag, or the other way round.
+        for key in params:
+            mixed = tmp_path / f"{key}.json"
+            mixed.write_text(json.dumps({"command": words, "params": {key: params[key]}}))
+            other = [tok for k, v in params.items() if k != key for tok in (f"--{k}", str(v))]
+            cases.append((["--config", str(mixed)] + other, f"error: config {mixed}: {message}\n"))
+    out = tmp_path / "out.csv"
+    for argv, expected in cases:
+        capsys.readouterr()
+        assert run(words + base + argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == expected
     assert not out.exists()
 

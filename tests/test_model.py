@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supportlab import decoder
+from supportlab import decoder, rng
 from supportlab.errors import ValidationError
 from supportlab.model import (
     DesignMatrix,
@@ -198,17 +198,22 @@ def test_synthesize_dimension_mismatch():
 
 
 def test_noise_energy_chi_square_mean():
-    # ||y - X_T beta_T||^2 = ||eps||^2 is chi-square with n degrees of freedom;
-    # its mean over many seeds must sit within 2% of n.
+    # y = X_T beta_T + eps with eps the noise stream's first n normals, bit for
+    # bit, so ||y - X_T beta_T||^2 = ||eps||^2 is chi-square with n degrees of
+    # freedom; its mean over many noise streams must sit within 2% of n.
     n = 16
     design = gaussian_design(n, 3, seed=SEED)
     sig = flat_signal(make_pattern([0, 1], 3), 1.0)
     mean_vec = design.submatrix(sig.pattern) @ sig.values
+    for noise_seed in (0, 1, SEED, 2**64 - 1):
+        y = synthesize_observation(design, sig, noise_seed=noise_seed)
+        eps = rng.stream(noise_seed, rng.KIND_NOISE).standard_normal(n)
+        assert np.array_equal(y, mean_vec + eps)
     total = 0.0
     draws = 100_000
-    for i in range(draws):
-        y = synthesize_observation(design, sig, noise_seed=i)
-        total += float(np.sum((y - mean_vec) ** 2))
+    for gen in rng.streams(SEED, rng.KIND_NOISE, 0, draws):
+        eps = gen.standard_normal(n)
+        total += float(eps @ eps)
     assert abs(total / draws - n) < 0.02 * n
 
 

@@ -1,5 +1,6 @@
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,3 +130,34 @@ def test_chernoff_grid_in_blocks_equals_one_argmin_over_the_grid(monkeypatch, bl
     expected = (f"min_err={abs(vals[i] - verify.CHERNOFF_MIN):.3e} "
                 f"t_err={abs(ts[i] - verify.CHERNOFF_T_STAR):.3e} c_err=0.000e+00")
     assert verify.check_chernoff_constants().detail == expected
+
+
+@pytest.mark.parametrize("block", [verify.SAMPLE_BLOCK, 1000, 999_999])
+def test_grid_slices_join_to_linspace_bit_for_bit(block):
+    # 999 999 leaves a short final slice that holds the endpoint.
+    lo, hi, num = verify.CHERNOFF_GRID
+    slices = [verify._grid_slice(lo, hi, num, start, min(start + block, num))
+              for start in range(0, num, block)]
+    assert np.array_equal(np.concatenate(slices), np.linspace(lo, hi, num))
+
+
+def _peak_mb(check) -> float:
+    """Peak of the memory traced while ``check`` runs (numpy reports its buffers)."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        check()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("check, budget_mb", [
+    (verify.check_chernoff_constants, 2.0),
+    (verify.check_exact_mgf_sampling, 2.0),
+    (verify.check_chi_square_mgf, 2.0),
+    (verify.run_all, 4.0),
+])
+def test_verify_working_memory_stays_within_its_budget(check, budget_mb):
+    # A 10**6-point grid or a 10**6-row sample held whole would take 8 MB or more.
+    assert _peak_mb(check) < budget_mb
