@@ -62,14 +62,9 @@ class BoundReport:
 class ConditionReport:
     """Sufficient/necessary sample-size thresholds at one (p, k, beta_min^2, C) point."""
 
-    n: Optional[int]
     sufficient_threshold: float
     necessary_threshold: float
     convexity_ok: bool
-    p: int
-    k: int
-    beta_min_sq: float
-    C: float
 
 
 def chernoff_rate(t: float) -> float:
@@ -130,7 +125,7 @@ def exact_quadratic_log_mgf(
     outside = ~(np.abs(ts) < 0.5)  # NaN is outside too
     if np.any(outside):
         bad = t if ts.ndim == 0 else ts[outside][0]
-        raise DomainError(f"log-MGF defined for |t| < 1/2, got t={bad}")
+        raise DomainError(f"log-MGF defined for |t| < 1/2, got t={bad}", params=("t",))
     _check_support_pair(design, signal, t_pattern, f_pattern)
     if f_pattern.indices == t_pattern.indices:
         return 0.0 if ts.ndim == 0 else np.zeros(ts.shape)
@@ -145,7 +140,7 @@ def exact_quadratic_log_mgf(
     singular = np.any(denom <= 0.0, axis=-1)
     if np.any(singular):
         bad = t if ts.ndim == 0 else ts[singular][0]
-        raise DomainError(f"I - 2t*Psi not positive definite at t={bad}")
+        raise DomainError(f"I - 2t*Psi not positive definite at t={bad}", params=("t",))
     quad = 2.0 * ts * ts * np.sum(lam**2 * w_sq / denom, axis=-1)
     linear = ts * np.sum(lam * w_sq)
     logdet = np.sum(np.log(denom), axis=-1)
@@ -204,11 +199,12 @@ def averaged_pairwise_bound(n: int, k: int, d: int, miss_energy: float) -> Bound
     of freedom, and its MGF gives the log term.
     """
     if n <= k:
-        raise ValidationError(f"need n > k, got n={n}, k={k}")
+        raise ValidationError(f"need n > k, got n={n}, k={k}", params=("n", "k"))
     if not 1 <= d <= k:
-        raise ValidationError(f"need 1 <= d <= k, got d={d}, k={k}")
+        raise ValidationError(f"need 1 <= d <= k, got d={d}, k={k}", params=("d", "k"))
     if miss_energy < 0:
-        raise ValidationError(f"miss energy must be nonnegative, got {miss_energy}")
+        raise ValidationError(f"miss energy must be nonnegative, got {miss_energy}",
+                              params=("miss_energy",))
     log_bound = -0.5 * (n - k) * math.log1p(2.0 * CHERNOFF_C * miss_energy) + 0.5 * d
     return BoundReport.from_log(log_bound, d=d)
 
@@ -233,11 +229,12 @@ def union_error_bound_sum(n: int, p: int, k: int, beta_min_sq: float) -> BoundRe
 
 def _check_union_params(n: int, p: int, k: int, beta_min_sq: float) -> None:
     if k < 1 or p <= k:
-        raise ValidationError(f"need p > k >= 1, got p={p}, k={k}")
+        raise ValidationError(f"need p > k >= 1, got p={p}, k={k}", params=("p", "k"))
     if n <= k:
-        raise ValidationError(f"need n > k, got n={n}, k={k}")
+        raise ValidationError(f"need n > k, got n={n}, k={k}", params=("n", "k"))
     if beta_min_sq <= 0:
-        raise ValidationError(f"beta_min^2 must be positive, got {beta_min_sq}")
+        raise ValidationError(f"beta_min^2 must be positive, got {beta_min_sq}",
+                              params=("beta_min_sq",))
 
 
 def _log_comb(a: int, b: int) -> float:
@@ -255,13 +252,6 @@ def _log_sum_exp(terms: Sequence[float]) -> float:
     if top == -math.inf:
         return top
     return top + math.log1p(float(np.sum(np.exp(np.delete(t, top_at) - top))))
-
-
-def log_binomial(p: int, k: int) -> float:
-    """log C(p, k) via log-gamma; exact enough for p in the millions."""
-    if k < 0 or k > p:
-        raise ValidationError(f"need 0 <= k <= p, got k={k}, p={p}")
-    return _log_comb(p, k)
 
 
 def convexity_condition(n: int, k: int, beta_min_sq: float) -> bool:
@@ -350,13 +340,13 @@ def union_error_bound_closed_form(
     """
     _check_union_params(n, p, k, beta_min_sq)
     if C <= 0:
-        raise ValidationError(f"C must be positive, got {C}")
+        raise ValidationError(f"C must be positive, got {C}", params=("C",))
     if p <= 2 * k:
-        raise PreconditionError("p > 2k", f"p={p}, k={k}")
+        raise PreconditionError("p > 2k", f"p={p}, k={k}", params=("p", "k"))
     if not curvature_condition(n, k, beta_min_sq):
         raise PreconditionError(
             "deficit-curve convexity: f''(1) > 0 and f''(k) > 0",
-            f"n={n}, k={k}, beta_min_sq={beta_min_sq}",
+            f"n={n}, k={k}, beta_min_sq={beta_min_sq}", params=("n", "k", "beta_min_sq"),
         )
     b2 = beta_min_sq
     c = CHERNOFF_C
@@ -366,7 +356,7 @@ def union_error_bound_closed_form(
     if n - k <= required:
         raise PreconditionError(
             "n - k > C max{log(p-k)/log(1+2c b^2), (k log((p-k)/k)+k)/log(1+2c k b^2)}",
-            f"n-k={n - k}, required > {required:.6g}",
+            f"n-k={n - k}, required > {required:.6g}", params=("n", "p", "k", "beta_min_sq", "C"),
         )
     B = (C - 5.0) / 2.0
     branch1 = -B * math.log(p - k)
@@ -433,7 +423,7 @@ def necessary_sample_size(p: int, k: int, beta_min_sq: float) -> float:
         raise DomainError(
             f"degenerate denominator at p={p}, k={k}, beta_min_sq={beta_min_sq}"
         )
-    f1 = (log_binomial(p, k) - 1.0) / denom1
+    f1 = (_log_comb(p, k) - 1.0) / denom1
     f2 = (math.log(p - k + 1) - 1.0) / denom2
     return max(f1, f2, float(k - 1))
 
@@ -454,11 +444,9 @@ class RegimeRow:
 class Regime:
     """One scaling row: maps p -> (k, beta_min^2) plus the predicted growth rate."""
 
-    name: str
     k_of_p: Callable[[int], int]
     beta_sq_of: Callable[[int, int], float]
     predictor_of: Callable[[int, int], float]
-    label: str
 
 
 def _k_linear(p: int) -> int:
@@ -470,35 +458,19 @@ def _k_sublinear(p: int) -> int:
 
 
 REGIMES: dict[str, Regime] = {
-    "linear_invk": Regime(
-        "linear_invk", _k_linear, lambda p, k: 1.0 / k,
-        lambda p, k: p * math.log(p),
-        "k ~ p/4, beta_min^2 ~ 1/k, predictor p log p",
-    ),
-    "linear_logk": Regime(
-        "linear_logk", _k_linear, lambda p, k: math.log(k) / k,
-        lambda p, k: float(p),
-        "k ~ p/4, beta_min^2 ~ log(k)/k, predictor p",
-    ),
-    "linear_unit": Regime(
-        "linear_unit", _k_linear, lambda p, k: 1.0,
-        lambda p, k: float(p),
-        "k ~ p/4, beta_min^2 = 1, predictor p",
-    ),
+    "linear_invk": Regime(_k_linear, lambda p, k: 1.0 / k, lambda p, k: p * math.log(p)),
+    "linear_logk": Regime(_k_linear, lambda p, k: math.log(k) / k, lambda p, k: float(p)),
+    "linear_unit": Regime(_k_linear, lambda p, k: 1.0, lambda p, k: float(p)),
     "sublinear_invk": Regime(
-        "sublinear_invk", _k_sublinear, lambda p, k: 1.0 / k,
-        lambda p, k: k * math.log(p - k),
-        "k ~ sqrt(p), beta_min^2 ~ 1/k, predictor k log(p-k)",
+        _k_sublinear, lambda p, k: 1.0 / k, lambda p, k: k * math.log(p - k)
     ),
     "sublinear_logk": Regime(
-        "sublinear_logk", _k_sublinear, lambda p, k: math.log(k) / k,
+        _k_sublinear, lambda p, k: math.log(k) / k,
         lambda p, k: k * math.log(p / k) / math.log(math.log(k)),
-        "k ~ sqrt(p), beta_min^2 ~ log(k)/k, predictor k log(p/k)/log log k",
     ),
     "sublinear_unit": Regime(
-        "sublinear_unit", _k_sublinear, lambda p, k: 1.0,
+        _k_sublinear, lambda p, k: 1.0,
         lambda p, k: max(k * math.log(p / k) / math.log(k), float(k)),
-        "k ~ sqrt(p), beta_min^2 = 1, predictor max{k log(p/k)/log k, k}",
     ),
 }
 
@@ -547,16 +519,11 @@ def condition_report(
     k: int,
     beta_min_sq: float,
     C: float = 9.0,
-    n: Optional[int] = None,
     variant: str = "proof",
 ) -> ConditionReport:
-    """Bundle both thresholds and the published convexity flag for one point."""
+    """Bundle both thresholds and the published convexity flag, taken at
+    n = ceil(sufficient threshold), for one point."""
     suff = sufficient_sample_size(p, k, beta_min_sq, C, variant=variant)
     nec = necessary_sample_size(p, k, beta_min_sq)
-    conv = convexity_condition(n, k, beta_min_sq) if n is not None else convexity_condition(
-        int(math.ceil(suff)), k, beta_min_sq
-    )
-    return ConditionReport(
-        n=n, sufficient_threshold=suff, necessary_threshold=nec,
-        convexity_ok=conv, p=p, k=k, beta_min_sq=beta_min_sq, C=C,
-    )
+    conv = convexity_condition(int(math.ceil(suff)), k, beta_min_sq)
+    return ConditionReport(sufficient_threshold=suff, necessary_threshold=nec, convexity_ok=conv)

@@ -16,7 +16,9 @@ and loses to an explicit flag.  A repeated ``--config`` is rejected, and a
 config value its flag rejects is reported with the config's path.  So is a
 check made after parsing that fails (``need n > k, got n=2, k=3``) when any
 value it compares came from the config; the same values typed as flags keep
-the plain message.
+the plain message.  Such checks cover the instance's supports, signal values
+and design size, ``--t``, the candidate budget and the ``bound`` hypotheses,
+each naming only the values it compares.
 
 Exit codes: 0 success, 1 check/assertion failure, 2 usage/validation error.
 """
@@ -189,13 +191,6 @@ def _emit_record(args, record: dict) -> None:
         _write_text(args.out, _json_text(record))
 
 
-def _build_signal(args, pattern) -> SparseSignal:
-    if getattr(args, "beta", None):
-        values = np.array(_parsed(args, "beta", parse_float_list))
-        return SparseSignal(pattern=pattern, values=values)
-    return flat_signal(pattern, args.beta_min)
-
-
 def _true_indices(args) -> list[int]:
     """The 0-based true support: ``--support`` (k indices), else the first k."""
     if not args.support:
@@ -207,14 +202,25 @@ def _true_indices(args) -> list[int]:
     return indices
 
 
-def _build_instance(args) -> ProblemInstance:
-    if getattr(args, "instance", None):
-        return load_instance(args.instance)
-    support = make_pattern(_true_indices(args), args.p)
-    signal = _build_signal(args, support)
-    design = gaussian_design(args.n, args.p, args.seed)
-    y = synthesize_observation(design, signal, args.seed, noiseless=args.noiseless)
-    return ProblemInstance(design=design, signal=signal, observation=y)
+def _instance_parts(args) -> tuple:
+    """``(design, signal, T, F)`` from the instance flags: the seeded design,
+    the signal on the true support T and, for a command with ``--wrong``, the
+    candidate F (else None).  Each step names the flags it reads."""
+    with _reading("support", "k", "p"):
+        t_patt = make_pattern(_true_indices(args), args.p)
+    f_patt = None
+    if getattr(args, "wrong", None):
+        with _reading("wrong", "k", "p"):
+            f_patt = make_pattern(_parsed(args, "wrong", parse_index_list), args.p)
+    with _reading("beta", "beta_min"):
+        if args.beta:
+            values = np.array(_parsed(args, "beta", parse_float_list))
+            signal = SparseSignal(pattern=t_patt, values=values)
+        else:
+            signal = flat_signal(t_patt, args.beta_min)
+    with _reading("n", "p"):
+        design = gaussian_design(args.n, args.p, args.seed)
+    return design, signal, t_patt, f_patt
 
 
 def save_instance(path: str, instance: ProblemInstance) -> None:
@@ -247,10 +253,18 @@ def load_instance(path: str) -> ProblemInstance:
 
 
 def cmd_decode(args) -> int:
-    instance = _build_instance(args)
-    if getattr(args, "save_instance", None):
+    if args.instance:
+        instance = load_instance(args.instance)
+    else:
+        design, signal, _, _ = _instance_parts(args)
+        y = synthesize_observation(design, signal, args.seed, noiseless=args.noiseless)
+        instance = ProblemInstance(design=design, signal=signal, observation=y)
+    if args.save_instance:
         save_instance(args.save_instance, instance)
-    result = decode_exhaustive(instance, max_candidates=args.cap_candidates)
+    # A loaded instance's p and k come from its file, not from flags.
+    compared = ("cap_candidates",) if args.instance else ("cap_candidates", "p", "k")
+    with _reading(*compared):
+        result = decode_exhaustive(instance, max_candidates=args.cap_candidates)
     record = {
         "declared_support": one_based(result.pattern.indices),
         "score": result.score,
@@ -281,10 +295,7 @@ def _bound_record(report: bounds.BoundReport, extra: dict) -> dict:
 
 
 def cmd_bound_pairwise(args) -> int:
-    t_patt = make_pattern(_true_indices(args), args.p)
-    f_patt = make_pattern(_parsed(args, "wrong", parse_index_list), args.p)
-    signal = _build_signal(args, t_patt)
-    design = gaussian_design(args.n, args.p, args.seed)
+    design, signal, t_patt, f_patt = _instance_parts(args)
     report = bounds.pairwise_conditional_bound(design, signal, t_patt, f_patt)
     if report.d == 0:
         print("warning: F equals the true support; the bound is vacuous", file=sys.stderr)
@@ -295,8 +306,7 @@ def cmd_bound_pairwise(args) -> int:
 
 
 def cmd_bound_averaged(args) -> int:
-    with _reading("n", "k", "d", "miss_energy"):
-        report = bounds.averaged_pairwise_bound(args.n, args.k, args.d, args.miss_energy)
+    report = bounds.averaged_pairwise_bound(args.n, args.k, args.d, args.miss_energy)
     _emit_record(args, _bound_record(report, {
         "kind": "averaged", "n": args.n, "k": args.k, "miss_energy": args.miss_energy,
     }))
@@ -304,8 +314,7 @@ def cmd_bound_averaged(args) -> int:
 
 
 def cmd_bound_union_sum(args) -> int:
-    with _reading("n", "p", "k", "beta_min_sq"):
-        report = bounds.union_error_bound_sum(args.n, args.p, args.k, args.beta_min_sq)
+    report = bounds.union_error_bound_sum(args.n, args.p, args.k, args.beta_min_sq)
     _emit_record(args, _bound_record(report, {
         "kind": "union-sum", "n": args.n, "p": args.p, "k": args.k,
         "beta_min_sq": args.beta_min_sq,
@@ -314,10 +323,7 @@ def cmd_bound_union_sum(args) -> int:
 
 
 def cmd_bound_union_closed(args) -> int:
-    with _reading("n", "p", "k", "beta_min_sq", "C"):
-        report = bounds.union_error_bound_closed_form(
-            args.n, args.p, args.k, args.beta_min_sq, args.C
-        )
+    report = bounds.union_error_bound_closed_form(args.n, args.p, args.k, args.beta_min_sq, args.C)
     _emit_record(args, _bound_record(report, {
         "kind": "union-closed", "n": args.n, "p": args.p, "k": args.k,
         "beta_min_sq": args.beta_min_sq, "C": args.C, "B": (args.C - 5.0) / 2.0,
@@ -326,10 +332,7 @@ def cmd_bound_union_closed(args) -> int:
 
 
 def cmd_bound_mgf(args) -> int:
-    t_patt = make_pattern(_true_indices(args), args.p)
-    f_patt = make_pattern(_parsed(args, "wrong", parse_index_list), args.p)
-    signal = _build_signal(args, t_patt)
-    design = gaussian_design(args.n, args.p, args.seed)
+    design, signal, t_patt, f_patt = _instance_parts(args)
     value = bounds.exact_quadratic_log_mgf(design, signal, t_patt, f_patt, args.t)
     _emit_record(args, {
         "kind": "mgf", "t": args.t, "log_mgf": value,
@@ -434,7 +437,8 @@ def cmd_mc_pairwise(args) -> int:
 
 def cmd_mc_recover(args) -> int:
     spec = _spec_from_args(args, montecarlo.TARGET_RECOVERY)
-    result = montecarlo.run_full_recovery(spec, max_candidates=args.cap_candidates)
+    with _reading("cap_candidates", "p", "k"):
+        result = montecarlo.run_full_recovery(spec, max_candidates=args.cap_candidates)
     _emit_table(args, MC_CSV_HEADER, [_mc_row(spec, result, None)])
     return 0
 

@@ -25,12 +25,12 @@ class DomainError(SupportLabError, ValueError):
 class PreconditionError(SupportLabError, ValueError):
     """A bound's hypothesis fails; ``hypothesis`` names the violated inequality."""
 
-    def __init__(self, hypothesis: str, detail: str = ""):
+    def __init__(self, hypothesis: str, detail: str = "", params: tuple[str, ...] = ()):
         self.hypothesis = hypothesis
         msg = f"hypothesis violated: {hypothesis}"
         if detail:
             msg += f" ({detail})"
-        super().__init__(msg)
+        super().__init__(msg, params=params)
 
 
 class BudgetError(SupportLabError, RuntimeError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,20 +47,8 @@ class SparsityPattern:
             prev = i
         object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
 
-    def cardinality(self) -> int:
-        return len(self.indices)
-
     def __len__(self) -> int:
         return len(self.indices)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices)
-
-    def __contains__(self, index: int) -> bool:
-        return index in set(self.indices)
-
-    def difference(self, other: "SparsityPattern") -> "SparsityPattern":
-        return pattern_difference(self, other)
 
 
 def make_pattern(indices: Sequence[int], p: int) -> SparsityPattern:
@@ -103,12 +91,6 @@ class SparseSignal:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    def beta_min(self) -> float:
-        return float(np.min(np.abs(self.values)))
-
-    def energy(self) -> float:
-        return float(np.sum(self.values**2))
-
     def values_on(self, sub: SparsityPattern) -> np.ndarray:
         """Values restricted to ``sub``, which must be contained in the support."""
         lookup = {i: v for i, v in zip(self.pattern.indices, self.values)}
@@ -116,11 +98,6 @@ class SparseSignal:
         if missing:
             raise ValidationError(f"indices {missing} are not in the signal support")
         return np.array([lookup[i] for i in sub.indices], dtype=float)
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros(self.pattern.p)
-        out[list(self.pattern.indices)] = self.values
-        return out
 
 
 def flat_signal(pattern: SparsityPattern, beta_min: float) -> SparseSignal:
@@ -178,7 +155,6 @@ class ProblemInstance:
     design: DesignMatrix
     signal: SparseSignal
     observation: np.ndarray = field(repr=False)
-    noise_variance: float = 1.0
 
     def __post_init__(self):
         if self.signal.pattern.p != self.design.p:
@@ -192,8 +168,6 @@ class ProblemInstance:
             )
         if not np.isfinite(y).all():
             raise ValidationError("observation must be finite")
-        if self.noise_variance != 1.0:
-            raise ValidationError("noise variance is fixed at 1 (rescale beta instead)")
         y = y.copy()
         y.flags.writeable = False
         object.__setattr__(self, "observation", y)
@@ -213,9 +187,6 @@ class ProblemInstance:
     @property
     def true_pattern(self) -> SparsityPattern:
         return self.signal.pattern
-
-    def noiseless_mean(self) -> np.ndarray:
-        return self.design.submatrix(self.signal.pattern) @ self.signal.values
 
 
 def synthesize_observation(

@@ -127,6 +127,24 @@ class ExperimentSpec:
             )
         if self.n <= self.k and self._bound_needs_n_above_k():
             raise ValidationError(f"need n > k, got n={self.n}, k={self.k}", params=("n", "k"))
+        # The checks make_pattern and SparseSignal make when the trials build T,
+        # F and beta, run here so that their errors name the fields compared.
+        if self.true_pattern is not None:
+            self._check_pattern("true_pattern")
+        if self.target == TARGET_PAIRWISE:
+            self._check_pattern("wrong_pattern")
+        if self.beta_values is not None and 0.0 in self.beta_values:
+            raise ValidationError("signal values must be exactly nonzero on the support",
+                                  params=("beta_values",))
+
+    def _check_pattern(self, field: str) -> None:
+        """The indices in ``field`` form a pattern in [0, p); a failure is
+        ``make_pattern``'s, naming ``field`` and p."""
+        try:
+            make_pattern(getattr(self, field), self.p)
+        except ValidationError as exc:
+            exc.params = (field, "p")
+            raise
 
     def _bound_needs_n_above_k(self) -> bool:
         """Whether the bound ``_attach_bound`` will evaluate is the union bound

@@ -27,7 +27,13 @@ from supportlab.bounds import (
     union_error_bound_sum,
 )
 from supportlab.errors import DomainError, PreconditionError, ValidationError
-from supportlab.model import DesignMatrix, SparseSignal, build_projector, make_pattern
+from supportlab.model import (
+    DesignMatrix,
+    SparseSignal,
+    build_projector,
+    make_pattern,
+    pattern_difference,
+)
 from supportlab.verify import quadratic_form_matrix
 from supportlab import rng
 
@@ -120,7 +126,7 @@ def test_exact_mgf_chain_and_final_bound_order():
     ts = np.linspace(-0.49, 0.49, 13)
     for _ in range(20):
         design, signal, t_patt, f_patt = random_pair(gen)
-        d = len(t_patt.difference(f_patt))
+        d = len(pattern_difference(t_patt, f_patt))
         g = projection_energy(design, signal, t_patt, f_patt)
         for t in ts:
             exact = exact_quadratic_log_mgf(design, signal, t_patt, f_patt, float(t))
@@ -210,7 +216,7 @@ def test_eigen_pairs_and_identities_via_dense_solver():
     gen = rng.stream(SEED, 6)
     for _ in range(30):
         design, signal, t_patt, f_patt = random_pair(gen)
-        d = len(t_patt.difference(f_patt))
+        d = len(pattern_difference(t_patt, f_patt))
         psi = quadratic_form_matrix(design, t_patt, f_patt)
         lam = np.linalg.eigvalsh(psi)
         pos = np.sort(lam[lam > 1e-8])[::-1]
@@ -330,7 +336,7 @@ def test_averaged_bound_equals_design_ensemble_average():
         design = DesignMatrix(entries=gen.standard_normal((n, p)))
         g = projection_energy(design, signal, t_patt, f_patt)
         vals[i] = math.exp(-CHERNOFF_C * g + 0.5)
-    bound = averaged_pairwise_bound(n, k, 1, signal.energy()).probability
+    bound = averaged_pairwise_bound(n, k, 1, float(np.sum(signal.values**2))).probability
     se = float(np.std(vals)) / math.sqrt(draws)
     assert vals.mean() <= bound + 4 * se
     assert abs(vals.mean() - bound) <= 5 * se

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -248,6 +249,21 @@ def test_sweep_deterministic_and_continues_past_bad_rows(tmp_path):
     assert "n >= 1" in lines[2]  # bad row reported in place, sweep continued
 
 
+def test_sweep_rows_check_their_own_patterns(tmp_path):
+    # --wrong is checked against each row's p, not the base --p: rows that
+    # vary p past it run, and rows at a fixed p too small report in place.
+    out = tmp_path / "s.csv"
+    args = ["sweep", "--target", "pairwise", "--n", "8", "--p", "5", "--k", "2",
+            "--seed", "5", "--wrong", "7,8", "--trials", "50", "--out", str(out)]
+    assert run(args + ["--vary", "p", "--values", "10,20"]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [(r["p"], r["d"], r["error"]) for r in rows] == [("10", "2", ""), ("20", "2", "")]
+    assert run(args + ["--vary", "n", "--values", "8,12"]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [(r["n"], r["d"], r["error"]) for r in rows] == [
+        ("8", "", "index 6 outside [0, 5)"), ("12", "", "index 6 outside [0, 5)")]
+
+
 # -------------------------------------------------------------------- config
 
 
@@ -489,14 +505,34 @@ def test_cross_flag_check_names_the_config_only_for_its_own_value(key, value, fl
      "wrong pattern has 3 indices, need k=2"),
     (["bound", "union-sum"], ["--p", "7", "--beta-min-sq", "1"], {"n": 2, "k": 3},
      "need n > k, got n=2, k=3"),
-], ids=["recover-n-k", "recover-support", "pairwise-wrong", "union-sum-n-k"])
+    (["bound", "union-closed"], ["--n", "40", "--p", "12", "--beta-min-sq", "1"], {"k": 6},
+     "hypothesis violated: p > 2k (p=12, k=6)"),
+    (["mc", "recover"], ["--p", "7", "--trials", "5"], {"support": "9,1"},
+     "index 8 outside [0, 7)"),
+    (["mc", "pairwise"], ["--p", "7", "--trials", "5"], {"wrong": "9,1"},
+     "index 8 outside [0, 7)"),
+    (["bound", "pairwise"], ["--p", "7"], {"wrong": "2,9"}, "index 8 outside [0, 7)"),
+    (["decode"], ["--p", "7"], {"beta": "1,0"},
+     "signal values must be exactly nonzero on the support"),
+    (["mc", "recover"], ["--p", "7", "--trials", "5"], {"beta": "1,0"},
+     "signal values must be exactly nonzero on the support"),
+    (["bound", "mgf"], ["--p", "7", "--wrong", "3,4"], {"t": 0.7},
+     "log-MGF defined for |t| < 1/2, got t=0.7"),
+    (["decode"], ["--p", "7"], {"cap_candidates": 3},
+     "exhaustive decode needs C(7,2) = 21 candidates, exceeding the budget of 3"),
+    (["mc", "recover"], ["--p", "7", "--trials", "5"], {"cap_candidates": 3},
+     "each decode scores C(7,2) = 21 candidates, exceeding the budget of 3"),
+], ids=["recover-n-k", "recover-support", "pairwise-wrong", "union-sum-n-k", "union-closed-k",
+        "recover-support-range", "pairwise-wrong-range", "bound-pairwise-wrong-range",
+        "decode-beta-zero", "recover-beta-zero", "mgf-t", "decode-cap", "recover-cap"])
 def test_failed_check_names_the_config_when_a_value_it_compares_came_from_it(
         words, base, params, message, tmp_path, capsys):
     # The message need not start with a flag: the config is named when any
     # value the failed check compares came from it, and only then.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": words, "params": params}))
-    flags = [tok for key, value in params.items() for tok in (f"--{key}", str(value))]
+    flags = [tok for key, value in params.items()
+             for tok in (f"--{key.replace('_', '-')}", str(value))]
     cases = [
         (["--config", str(cfg)], f"error: config {cfg}: {message}\n"),
         (flags, f"error: {message}\n"),
@@ -515,6 +551,43 @@ def test_failed_check_names_the_config_when_a_value_it_compares_came_from_it(
         assert run(words + base + argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == expected
     assert not out.exists()
+
+
+@pytest.mark.parametrize("words, typed, message", [
+    (["bound", "union-sum"], ["--p", "12", "--k", "20", "--beta-min-sq", "1"],
+     "need p > k >= 1, got p=12, k=20"),
+    (["bound", "union-closed"], ["--p", "12", "--k", "6", "--beta-min-sq", "1"],
+     "hypothesis violated: p > 2k (p=12, k=6)"),
+    (["bound", "averaged"], ["--k", "2", "--d", "3", "--miss-energy", "1"],
+     "need 1 <= d <= k, got d=3, k=2"),
+    (["decode"], ["--p", "7", "--cap-candidates", "3"],
+     "exhaustive decode needs C(7,2) = 21 candidates, exceeding the budget of 3"),
+    (["mc", "recover"], ["--p", "7", "--trials", "5", "--cap-candidates", "3"],
+     "each decode scores C(7,2) = 21 candidates, exceeding the budget of 3"),
+], ids=["union-sum", "union-closed", "averaged", "decode-cap", "recover-cap"])
+def test_failed_check_on_typed_values_reads_plain_beside_a_config(words, typed, message,
+                                                                  tmp_path, capsys):
+    # The config gives only n, which none of these checks compares.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": words, "params": {"n": 40}}))
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert run(words + ["--config", str(cfg)] + typed + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_budget_check_on_a_loaded_instance_ignores_config_p_and_k(tmp_path, capsys):
+    # A loaded instance's p and k come from its file, not from the config.
+    inst, cfg = tmp_path / "inst.json", tmp_path / "cfg.json"
+    assert run(["decode", "--p", "7", "--save-instance", str(inst),
+                "--out", str(tmp_path / "a.json")]) == 0
+    cfg.write_text(json.dumps({"command": ["decode"], "params": {"p": 7, "k": 2}}))
+    capsys.readouterr()
+    assert run(["decode", "--config", str(cfg), "--instance", str(inst),
+                "--cap-candidates", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "error: exhaustive decode needs C(7,2) = 21 candidates, exceeding the budget of 3\n")
 
 
 @pytest.mark.parametrize("flag, message", [
