@@ -4,7 +4,6 @@ harness that checks them at desk scale."""
 
 from .bounds import (
     BoundReport,
-    ConditionReport,
     averaged_pairwise_bound,
     chain_log_bound,
     chernoff_rate,

@@ -58,15 +58,6 @@ class BoundReport:
                    projection_energy=projection_energy)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    """Sufficient/necessary sample-size thresholds at one (p, k, beta_min^2, C) point."""
-
-    sufficient_threshold: float
-    necessary_threshold: float
-    convexity_ok: bool
-
-
 def chernoff_rate(t: float) -> float:
     """2t^2/(1-2t) - t, the rate whose infimum over |t|<1/2 is sqrt(2)-3/2."""
     if abs(t) >= 0.5:
@@ -512,18 +503,3 @@ def regime_table(
             )
         )
     return rows
-
-
-def condition_report(
-    p: int,
-    k: int,
-    beta_min_sq: float,
-    C: float = 9.0,
-    variant: str = "proof",
-) -> ConditionReport:
-    """Bundle both thresholds and the published convexity flag, taken at
-    n = ceil(sufficient threshold), for one point."""
-    suff = sufficient_sample_size(p, k, beta_min_sq, C, variant=variant)
-    nec = necessary_sample_size(p, k, beta_min_sq)
-    conv = convexity_condition(int(math.ceil(suff)), k, beta_min_sq)
-    return ConditionReport(sufficient_threshold=suff, necessary_threshold=nec, convexity_ok=conv)

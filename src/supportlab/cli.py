@@ -18,7 +18,10 @@ check made after parsing that fails (``need n > k, got n=2, k=3``) when any
 value it compares came from the config; the same values typed as flags keep
 the plain message.  Such checks cover the instance's supports, signal values
 and design size, ``--t``, the candidate budget and the ``bound`` hypotheses,
-each naming only the values it compares.
+each naming only the values it compares.  ``sweep`` without
+``--design-mode`` takes the mode from ``--target`` (fixed for pairwise, fresh
+for recovery).  A record that would hold an infinity or NaN (finite inputs
+whose result overflows) is a usage error naming the field.
 
 Exit codes: 0 success, 1 check/assertion failure, 2 usage/validation error.
 """
@@ -183,7 +186,11 @@ def _emit_table(args, header: list[str], rows: list[list]) -> None:
 
 
 def _emit_record(args, record: dict) -> None:
-    """Structured results are JSON by default; --format csv yields one row."""
+    """Structured results are JSON by default; --format csv yields one row.
+    A non-finite float is rejected before either format is written."""
+    for key in sorted(record):
+        if isinstance(record[key], float) and not math.isfinite(record[key]):
+            raise SupportLabError(f"{key} is {record[key]}: the inputs overflow double precision")
     if getattr(args, "format", None) == "csv":
         header = sorted(record)
         _write_text(args.out, _csv_text(header, [[record[k] for k in header]]))
@@ -191,14 +198,12 @@ def _emit_record(args, record: dict) -> None:
         _write_text(args.out, _json_text(record))
 
 
-def _true_indices(args) -> list[int]:
-    """The 0-based true support: ``--support`` (k indices), else the first k."""
-    if not args.support:
-        return list(range(args.k))
-    indices = _parsed(args, "support", parse_index_list)
+def _k_indices(args, dest: str) -> list[int]:
+    """The 0-based indices of index-list flag ``dest``, which must number k."""
+    indices = _parsed(args, dest, parse_index_list)
     if len(indices) != args.k:
-        raise ValidationError(f"--support has {len(indices)} indices, need k={args.k}",
-                              params=("support", "k"))
+        raise ValidationError(f"--{dest} has {len(indices)} indices, need k={args.k}",
+                              params=(dest, "k"))
     return indices
 
 
@@ -207,11 +212,12 @@ def _instance_parts(args) -> tuple:
     the signal on the true support T and, for a command with ``--wrong``, the
     candidate F (else None).  Each step names the flags it reads."""
     with _reading("support", "k", "p"):
-        t_patt = make_pattern(_true_indices(args), args.p)
+        t_patt = make_pattern(_k_indices(args, "support") if args.support else range(args.k),
+                              args.p)
     f_patt = None
     if getattr(args, "wrong", None):
         with _reading("wrong", "k", "p"):
-            f_patt = make_pattern(_parsed(args, "wrong", parse_index_list), args.p)
+            f_patt = make_pattern(_k_indices(args, "wrong"), args.p)
     with _reading("beta", "beta_min"):
         if args.beta:
             values = np.array(_parsed(args, "beta", parse_float_list))
@@ -352,10 +358,11 @@ def _conditions_grid_rows(args) -> list[list]:
             points.append((checked_int(parts[0]), checked_int(parts[1]), finite_float(parts[2])))
     for p, k, b2 in points:
         try:
-            rep = bounds.condition_report(p, k, b2, C=args.C, variant=args.variant)
-            gap = rep.sufficient_threshold / rep.necessary_threshold
-            rows.append([p, k, b2, rep.convexity_ok, rep.sufficient_threshold,
-                         rep.necessary_threshold, gap, ""])
+            suff = bounds.sufficient_sample_size(p, k, b2, args.C, variant=args.variant)
+            nec = bounds.necessary_sample_size(p, k, b2)
+            # The published convexity flag, taken at n = ceil(sufficient threshold).
+            ok = bounds.convexity_condition(math.ceil(suff), k, b2)
+            rows.append([p, k, b2, ok, suff, nec, suff / nec, ""])
         except SupportLabError as exc:
             rows.append([p, k, b2, "", "", "", "", str(exc)])
     return rows
@@ -393,18 +400,14 @@ def _spec_from_args(args, target: str) -> montecarlo.ExperimentSpec:
         trials=args.trials,
         master_seed=args.seed,
         target=target,
-        design_mode=args.design_mode,
+        design_mode=args.design_mode or ("fresh" if target == "recovery" else "fixed"),
         beta_min=args.beta_min,
-        beta_values=(
-            tuple(_parsed(args, "beta", parse_float_list)) if getattr(args, "beta", None) else None
-        ),
-        true_pattern=tuple(_true_indices(args)) if args.support else None,
+        beta_values=tuple(_parsed(args, "beta", parse_float_list)) if args.beta else None,
+        true_pattern=tuple(_k_indices(args, "support")) if args.support else None,
         random_true_pattern=getattr(args, "random_support", False),
-        wrong_pattern=(
-            tuple(_parsed(args, "wrong", parse_index_list)) if getattr(args, "wrong", None)
-            else None
-        ),
-        noiseless=getattr(args, "noiseless", False),
+        wrong_pattern=(tuple(_parsed(args, "wrong", parse_index_list))
+                       if getattr(args, "wrong", None) else None),
+        noiseless=args.noiseless,
         level=args.level,
     )
 
@@ -416,16 +419,12 @@ def _mc_row(spec: montecarlo.ExperimentSpec, result, error: Optional[str]) -> li
             d = len(pattern_difference(spec.true_support(), spec.wrong_support()))
         except ValidationError:
             pass  # an error row whose patterns are malformed has no deficit
+    head = [spec.target, spec.design_mode, spec.n, spec.p, spec.k, spec.beta_min,
+            d, spec.master_seed, spec.level, spec.trials]
     if result is None:
-        return [spec.target, spec.design_mode, spec.n, spec.p, spec.k, spec.beta_min,
-                d, spec.master_seed, spec.level, spec.trials,
-                None, None, None, None, None, None, error or ""]
-    return [
-        spec.target, spec.design_mode, spec.n, spec.p, spec.k, spec.beta_min,
-        d, spec.master_seed, spec.level, spec.trials,
-        result.error_count, result.rate, result.wilson_low, result.wilson_high,
-        result.bound_value, result.wilson_low <= result.bound_value, "",
-    ]
+        return head + [None] * 6 + [error or ""]
+    return head + [result.error_count, result.rate, result.wilson_low, result.wilson_high,
+                   result.bound_value, result.wilson_low <= result.bound_value, ""]
 
 
 def cmd_mc_pairwise(args) -> int:
@@ -531,14 +530,25 @@ def _add_common(sp, *, out=True, seed=True, workers=False, cap=False):
 
 
 def _add_instance_params(sp, wrong=False):
-    sp.add_argument("--n", type=int, required=False, default=8)
-    sp.add_argument("--p", type=int, required=False, default=10)
-    sp.add_argument("--k", type=int, required=False, default=2)
+    for flag, default in (("--n", 8), ("--p", 10), ("--k", 2)):
+        sp.add_argument(flag, type=int, default=default)
     sp.add_argument("--beta-min", type=finite_float, default=1.0, dest="beta_min")
     sp.add_argument("--beta", help="explicit signal values, comma separated")
     sp.add_argument("--support", help="true support, 1-based comma separated")
     if wrong:
         sp.add_argument("--wrong", required=True, help="candidate support, 1-based")
+
+
+def _add_trial_params(sp, trials: int, design_mode: Optional[str]) -> None:
+    """The Monte Carlo flags, with ``--design-mode`` defaulting to ``design_mode``;
+    ``"fresh"``, the one mode full recovery accepts, is set without a flag."""
+    sp.add_argument("--trials", type=int, default=trials)
+    if design_mode == montecarlo.DESIGN_FRESH:
+        sp.set_defaults(design_mode=design_mode)
+    else:
+        sp.add_argument("--design-mode", choices=["fixed", "fresh"], default=design_mode)
+    sp.add_argument("--noiseless", action="store_true")
+    sp.add_argument("--level", type=finite_float, default=0.95)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -549,121 +559,86 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     subs = parser.add_subparsers(dest="command", required=True)
     registry: dict[tuple, _Parser] = {}
 
-    sp = subs.add_parser("decode", help="run the exhaustive decoder on one instance")
-    _add_common(sp, workers=False, cap=True)
+    def command(parent, words: tuple, func, help: str, **common) -> _Parser:
+        """The parser of command ``words``, with its common flags and ``func``."""
+        sp = parent.add_parser(words[-1], help=help)
+        _add_common(sp, **common)
+        sp.set_defaults(func=func)
+        registry[words] = sp
+        return sp
+
+    sp = command(subs, ("decode",), cmd_decode, "run the exhaustive decoder on one instance",
+                 cap=True)
     _add_instance_params(sp)
     sp.add_argument("--noiseless", action="store_true")
     sp.add_argument("--instance", help="load the instance from a JSON file")
-    sp.add_argument("--save-instance", dest="save_instance",
-                    help="also write the generated instance as JSON")
-    sp.set_defaults(func=cmd_decode)
-    registry[("decode",)] = sp
+    sp.add_argument("--save-instance", help="also write the generated instance as JSON")
 
     bound = subs.add_parser("bound", help="evaluate an analytic bound")
     bsubs = bound.add_subparsers(dest="subcommand", required=True)
 
-    sp = bsubs.add_parser("pairwise", help="conditional bound exp(-c g + d/2)")
-    _add_common(sp)
+    sp = command(bsubs, ("bound", "pairwise"), cmd_bound_pairwise,
+                 "conditional bound exp(-c g + d/2)")
     _add_instance_params(sp, wrong=True)
-    sp.set_defaults(func=cmd_bound_pairwise)
-    registry[("bound", "pairwise")] = sp
 
-    sp = bsubs.add_parser("averaged", help="design-averaged pairwise bound")
-    _add_common(sp, seed=False)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
+    sp = command(bsubs, ("bound", "averaged"), cmd_bound_averaged,
+                 "design-averaged pairwise bound", seed=False)
+    for flag in ("--n", "--k", "--d"):
+        sp.add_argument(flag, type=int, required=True)
     sp.add_argument("--miss-energy", type=finite_float, required=True, dest="miss_energy")
-    sp.set_defaults(func=cmd_bound_averaged)
-    registry[("bound", "averaged")] = sp
 
-    sp = bsubs.add_parser("union-sum", help="union bound summed over deficits")
-    _add_common(sp, seed=False)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--beta-min-sq", type=finite_float, required=True, dest="beta_min_sq")
-    sp.set_defaults(func=cmd_bound_union_sum)
-    registry[("bound", "union-sum")] = sp
+    for name, func, help in (
+        ("union-sum", cmd_bound_union_sum, "union bound summed over deficits"),
+        ("union-closed", cmd_bound_union_closed, "closed-form union bound"),
+    ):
+        sp = command(bsubs, ("bound", name), func, help, seed=False)
+        for flag in ("--n", "--p", "--k"):
+            sp.add_argument(flag, type=int, required=True)
+        sp.add_argument("--beta-min-sq", type=finite_float, required=True, dest="beta_min_sq")
+    registry[("bound", "union-closed")].add_argument("--C", type=finite_float, default=9.0)
 
-    sp = bsubs.add_parser("union-closed", help="closed-form union bound")
-    _add_common(sp, seed=False)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--beta-min-sq", type=finite_float, required=True, dest="beta_min_sq")
-    sp.add_argument("--C", type=finite_float, default=9.0)
-    sp.set_defaults(func=cmd_bound_union_closed)
-    registry[("bound", "union-closed")] = sp
-
-    sp = bsubs.add_parser("mgf", help="exact log-MGF of the decision statistic")
-    _add_common(sp)
+    sp = command(bsubs, ("bound", "mgf"), cmd_bound_mgf, "exact log-MGF of the decision statistic")
     _add_instance_params(sp, wrong=True)
     sp.add_argument("--t", type=finite_float, required=True)
-    sp.set_defaults(func=cmd_bound_mgf)
-    registry[("bound", "mgf")] = sp
 
-    sp = subs.add_parser("conditions", help="sufficient/necessary sample-size table")
-    _add_common(sp, seed=False)
-    sp.add_argument("--point", action="append",
-                    help="p:k:beta_min_sq (repeatable)")
+    sp = command(subs, ("conditions",), cmd_conditions, "sufficient/necessary sample-size table",
+                 seed=False)
+    sp.add_argument("--point", action="append", help="p:k:beta_min_sq (repeatable)")
     sp.add_argument("--regime", choices=sorted(bounds.REGIMES),
                     help="Table-style scaling row; expands over --p-grid")
     sp.add_argument("--p-grid", dest="p_grid", help="comma separated p values")
     sp.add_argument("--C", type=finite_float, default=9.0)
-    sp.add_argument("--variant", choices=["proof", "statement", "corollary"],
-                    default="proof")
-    sp.set_defaults(func=cmd_conditions)
-    registry[("conditions",)] = sp
+    sp.add_argument("--variant", choices=["proof", "statement", "corollary"], default="proof")
 
     mc = subs.add_parser("mc", help="Monte Carlo error-rate experiments")
     msubs = mc.add_subparsers(dest="subcommand", required=True)
 
-    sp = msubs.add_parser("pairwise", help="frequency of Z_F > 0")
-    _add_common(sp, workers=True)
+    sp = command(msubs, ("mc", "pairwise"), cmd_mc_pairwise, "frequency of Z_F > 0", workers=True)
     _add_instance_params(sp, wrong=True)
-    sp.add_argument("--trials", type=int, default=10_000)
-    sp.add_argument("--design-mode", choices=["fixed", "fresh"], default="fixed",
-                    dest="design_mode")
-    sp.add_argument("--noiseless", action="store_true")
-    sp.add_argument("--level", type=finite_float, default=0.95)
-    sp.set_defaults(func=cmd_mc_pairwise)
-    registry[("mc", "pairwise")] = sp
+    _add_trial_params(sp, 10_000, montecarlo.DESIGN_FIXED)
 
-    sp = msubs.add_parser("recover", help="frequency of declared != true support")
-    _add_common(sp, workers=True, cap=True)
+    sp = command(msubs, ("mc", "recover"), cmd_mc_recover, "frequency of declared != true support",
+                 workers=True, cap=True)
     _add_instance_params(sp)
-    sp.add_argument("--trials", type=int, default=1_000)
+    _add_trial_params(sp, 1_000, montecarlo.DESIGN_FRESH)
     sp.add_argument("--random-support", action="store_true", dest="random_support",
                     help="draw a fresh true support each trial")
-    sp.add_argument("--noiseless", action="store_true")
-    sp.add_argument("--level", type=finite_float, default=0.95)
-    sp.set_defaults(func=cmd_mc_recover, design_mode="fresh")
-    registry[("mc", "recover")] = sp
 
-    sp = subs.add_parser("sweep", help="grid of mc experiments over one parameter")
-    _add_common(sp, workers=True)
-    _add_instance_params(sp, wrong=False)
+    sp = command(subs, ("sweep",), cmd_sweep, "grid of mc experiments over one parameter",
+                 workers=True)
+    _add_instance_params(sp)
     sp.add_argument("--target", choices=["pairwise", "recovery"], default="pairwise")
     sp.add_argument("--wrong", help="candidate support for pairwise targets, 1-based")
-    sp.add_argument("--design-mode", choices=["fixed", "fresh"], default="fixed",
-                    dest="design_mode")
-    sp.add_argument("--trials", type=int, default=2_000)
-    sp.add_argument("--noiseless", action="store_true")
-    sp.add_argument("--level", type=finite_float, default=0.95)
+    _add_trial_params(sp, 2_000, None)
     sp.add_argument("--vary", required=True, help="parameter to sweep: n,p,k,trials,beta_min")
     sp.add_argument("--values", required=True, help="comma separated sweep values")
-    sp.set_defaults(func=cmd_sweep)
-    registry[("sweep",)] = sp
 
-    sp = subs.add_parser("verify", help="run the oracle self-checks")
-    _add_common(sp, out=False, seed=False)
+    sp = command(subs, ("verify",), cmd_verify, "run the oracle self-checks",
+                 out=False, seed=False)
     sp.add_argument("--seed", type=int, default=DEFAULT_VERIFY_SEED)
     sp.add_argument("--inject-fault", action="store_true", dest="inject_fault",
                     help="negative control: flip the sign of c")
     sp.add_argument("--verbose", action="store_true")
-    sp.set_defaults(func=cmd_verify)
-    registry[("verify",)] = sp
 
     return parser, registry
 

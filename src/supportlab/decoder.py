@@ -96,6 +96,9 @@ def decode_exhaustive(
     entries = instance.design.entries
     y = instance.observation
     gram = _GramScorer(entries, y)
+    if not math.isfinite(gram.yty):
+        raise ValidationError("observation energy y.y overflows double precision",
+                              params=("observation",))
     best_combo = None
     best = math.inf
     runner_up = math.inf
@@ -156,8 +159,8 @@ class _GramScorer:
             inv = np.where(norms > 0.0, 1.0 / norms, 0.0)
             self.gram = (entries.T @ entries) * inv[:, None] * inv[None, :]
             self.proj = (entries.T @ y) * inv
+            self.yty = float(y @ y)  # inf when y is finite but y.y overflows
         self.norm_sq = norms * norms
-        self.yty = float(y @ y)
         self.slack = SCORE_MARGIN * self.yty
 
     def scores(self, chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

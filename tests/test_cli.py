@@ -522,9 +522,13 @@ def test_cross_flag_check_names_the_config_only_for_its_own_value(key, value, fl
      "exhaustive decode needs C(7,2) = 21 candidates, exceeding the budget of 3"),
     (["mc", "recover"], ["--p", "7", "--trials", "5"], {"cap_candidates": 3},
      "each decode scores C(7,2) = 21 candidates, exceeding the budget of 3"),
+    (["bound", "pairwise"], ["--p", "7"], {"wrong": "1,2,3"}, "--wrong has 3 indices, need k=2"),
+    (["bound", "mgf"], ["--p", "7", "--t", "0.2"], {"wrong": "1,2,3"},
+     "--wrong has 3 indices, need k=2"),
 ], ids=["recover-n-k", "recover-support", "pairwise-wrong", "union-sum-n-k", "union-closed-k",
         "recover-support-range", "pairwise-wrong-range", "bound-pairwise-wrong-range",
-        "decode-beta-zero", "recover-beta-zero", "mgf-t", "decode-cap", "recover-cap"])
+        "decode-beta-zero", "recover-beta-zero", "mgf-t", "decode-cap", "recover-cap",
+        "bound-pairwise-wrong-size", "mgf-wrong-size"])
 def test_failed_check_names_the_config_when_a_value_it_compares_came_from_it(
         words, base, params, message, tmp_path, capsys):
     # The message need not start with a flag: the config is named when any
@@ -691,6 +695,31 @@ def test_support_size_must_equal_k(command, capsys):
     captured = capsys.readouterr()
     assert "--support has 1 indices, need k=2" in captured.err
     assert captured.out == ""
+
+
+OVERFLOW = ["--n", "8", "--p", "10", "--k", "2"]
+
+
+@pytest.mark.parametrize("command, message", [
+    (["decode", "--beta", "1e300,1e300"], "observation energy y.y overflows double precision"),
+    (["mc", "recover", "--beta", "1e300,1e300", "--trials", "5"],
+     "observation energy y.y overflows double precision"),
+    (["bound", "pairwise", "--wrong", "3,4", "--beta", "1e155,1"],
+     "log_bound is -inf: the inputs overflow double precision"),
+    (["bound", "pairwise", "--wrong", "3,4", "--beta", "1e155,1", "--format", "csv"],
+     "log_bound is -inf: the inputs overflow double precision"),
+    (["bound", "mgf", "--wrong", "3,4", "--beta", "1e200,1", "--t", "0.3"],
+     "log_mgf is nan: the inputs overflow double precision"),
+], ids=["decode", "mc-recover", "bound-pairwise", "bound-pairwise-csv", "bound-mgf"])
+def test_finite_inputs_that_overflow_double_precision_are_usage_errors(command, message,
+                                                                       tmp_path, capsys):
+    # Each value is finite, but y.y, g or the log-MGF overflows: no traceback,
+    # no JSON error and no inf written to a CSV row.
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert run(command + OVERFLOW + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_decode_p_equals_k_emits_valid_json(tmp_path):

@@ -7,16 +7,22 @@ Carlo cases pin the current stream layout (one Philox stream per seed, kind
 and trial), so a change to that layout shows up here first.  Monte Carlo and sweep cases also
 run at several ``--workers`` values, none of which may change a byte.
 
-Regenerate deliberately, and record why in CHANGES.md:
+Regenerate deliberately, and record why in CHANGES.md.  Name the cases to
+rewrite (``instance_duplicate_column`` is the loaded instance); with no
+names, every golden file is rewritten:
 
-    PYTHONPATH=src python3 tests/test_golden.py
+    PYTHONPATH=src python3 tests/test_golden.py [NAME...]
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
+import json
+import sys
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -74,6 +80,31 @@ CASES = [
     ("bound_union_sum",
      ["bound", "union-sum", "--n", "40", "--p", "12", "--k", "2",
       "--beta-min-sq", "1.0"], ()),
+    ("bound_union_sum_csv",
+     ["bound", "union-sum", "--n", "40", "--p", "12", "--k", "2",
+      "--beta-min-sq", "1.0", "--format", "csv"], ()),
+    ("bound_union_closed",
+     ["bound", "union-closed", "--n", "200", "--p", "101", "--k", "1",
+      "--beta-min-sq", "1.718281828", "--C", "9"], ()),
+    ("bound_averaged",
+     ["bound", "averaged", "--n", "12", "--k", "1", "--d", "1", "--miss-energy", "1.0"], ()),
+    # The second point is an error row: p is not above 2k.
+    ("conditions_points",
+     ["conditions", "--point", "100:2:1.0", "--point", "8:4:1"], ()),
+    ("conditions_regime_sublinear_unit",
+     ["conditions", "--regime", "sublinear_unit", "--p-grid", "64,128,256,512"], ()),
+    ("mc_pairwise_json",
+     ["mc", "pairwise", "--n", "8", "--p", "12", "--k", "2", "--seed", "11",
+      "--wrong", "2,3", "--trials", "2000", "--format", "json"], ("2",)),
+    # Explicit signal values: beta_min^2 comes from min |beta|.
+    ("mc_recover_beta",
+     ["mc", "recover", "--n", "12", "--p", "7", "--k", "2", "--seed", "9",
+      "--beta", "1,-2", "--trials", "200"], ("1", "3")),
+    # A recovery sweep, with an invalid grid point (n = k) reported in place.
+    ("sweep_recovery",
+     ["sweep", "--target", "recovery", "--design-mode", "fresh", "--n", "12", "--p", "7",
+      "--k", "2", "--seed", "9", "--trials", "100", "--vary", "n", "--values", "12,2"],
+     ("1", "3")),
 ]
 
 # (name, argv, exit code) for commands that write only to stdout.
@@ -85,7 +116,9 @@ STDOUT_CASES = [
 
 
 def _suffix(argv: list[str]) -> str:
-    return ".csv" if argv[0] in ("mc", "sweep") else ".json"
+    if "--format" in argv:
+        return "." + argv[argv.index("--format") + 1]
+    return ".csv" if argv[0] in ("mc", "sweep", "conditions") else ".json"
 
 
 def _golden_path(name: str, argv: list[str]) -> Path:
@@ -119,6 +152,23 @@ def test_golden_stdout(name, argv, code):
     assert _stdout_of(argv) == (code, (GOLDEN / f"{name}.txt").read_bytes().decode())
 
 
+def test_recovery_sweep_takes_its_design_mode_from_the_target(tmp_path):
+    # Without --design-mode a recovery sweep draws a fresh design per trial,
+    # the one mode full recovery accepts; the emitted config keeps it unset.
+    name, argv, _ = next(case for case in CASES if case[0] == "sweep_recovery")
+    out, cfg = tmp_path / "out.csv", tmp_path / "cfg.json"
+    mode = argv.index("--design-mode")
+    argv = argv[:mode] + argv[mode + 2:]
+    assert main(argv + ["--out", str(out), "--emit-config", str(cfg)]) == 0
+    assert out.read_bytes() == _golden_path(name, argv).read_bytes()
+    assert json.loads(cfg.read_text())["params"]["design_mode"] is None
+    # An explicit fixed design is still rejected, row by row.
+    assert main(argv + ["--design-mode", "fixed", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [row["error"] for row in rows] == [
+        "full-recovery experiments average over the design: use design_mode='fresh'"] * 2
+
+
 def _write_duplicate_instance() -> None:
     """n=10, p=6 design with column 5 a copy of column 1 and column 6 twice
     column 2 (1-based), true support {1, 3}."""
@@ -132,14 +182,25 @@ def _write_duplicate_instance() -> None:
                   ProblemInstance(design=design, signal=signal, observation=y))
 
 
-def regenerate() -> None:
+def regenerate(names: Sequence[str] = ()) -> None:
+    """Rewrite the golden files of the cases ``names``, or of every case."""
+    known = {DUPLICATE_INSTANCE.stem} | {case[0] for case in CASES + STDOUT_CASES}
+    unknown = sorted(set(names) - known)
+    if unknown:
+        raise SystemExit(f"unknown golden case(s): {', '.join(unknown)}")
+    wanted = set(names) or known
     GOLDEN.mkdir(exist_ok=True)
-    _write_duplicate_instance()
+    if DUPLICATE_INSTANCE.stem in wanted:
+        _write_duplicate_instance()
     for name, argv, _ in CASES:
+        if name not in wanted:
+            continue
         code = main(argv + ["--out", str(_golden_path(name, argv))])
         if code != 0:
             raise SystemExit(f"{name}: exit {code}")
     for name, argv, expected in STDOUT_CASES:
+        if name not in wanted:
+            continue
         code, text = _stdout_of(argv)
         if code != expected:
             raise SystemExit(f"{name}: exit {code}, expected {expected}")
@@ -147,4 +208,4 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])
