@@ -275,13 +275,23 @@ def pairwise_trial_outcomes(spec: ExperimentSpec) -> np.ndarray:
     mean = design.submatrix(t_patt) @ values
     if spec.noiseless:
         # Every trial observes y = mean: one Z_F, formed as a single trial's.
-        out[:] = np.sum((qf.T @ mean) ** 2) - np.sum((qt.T @ mean) ** 2) > 0.0
+        out[:] = _trial_errors(np.sum((qf.T @ mean) ** 2) - np.sum((qt.T @ mean) ** 2))
         return out
     for start, stop in _blocks(spec.trials, spec.n):
         y = mean + _noise_block(spec, start, stop)
         z = np.sum((y @ qf) ** 2, axis=1) - np.sum((y @ qt) ** 2, axis=1)
-        out[start:stop] = z > 0.0
+        out[start:stop] = _trial_errors(z)
     return out
+
+
+def _trial_errors(z: np.ndarray) -> np.ndarray:
+    """Z_F > 0 for each trial of a block.  Finite inputs can overflow Z_F to
+    inf or NaN, which ``> 0`` would read as a trial with or without an error,
+    so a block holding one is rejected (one check per block)."""
+    if not np.isfinite(z).all():
+        raise ValidationError("pairwise statistic Z_F overflows double precision",
+                              params=("beta_values", "beta_min"))
+    return z > 0.0
 
 
 def _fresh_pairwise_outcomes(
@@ -299,7 +309,7 @@ def _fresh_pairwise_outcomes(
         qt, qf = column_space_basis(np.stack([xt, xf]))
         y = (xt @ values + _noise_block(spec, start, stop))[:, None, :]
         z = np.sum((y @ qf) ** 2, axis=(1, 2)) - np.sum((y @ qt) ** 2, axis=(1, 2))
-        out[start:stop] = z > 0.0
+        out[start:stop] = _trial_errors(z)
     return out
 
 

@@ -9,7 +9,11 @@ vectors, and pattern draws; ``index`` is the trial number.
 ``stream`` builds the generator of one key.  ``streams`` serves a range of
 trials of one kind, as the Monte Carlo trial blocks draw them: it re-keys a
 single generator from trial to trial, which yields the same draws as
-``stream`` for every trial without building a generator per trial.
+``stream`` for every trial without building a generator per trial.  A re-key
+is one assignment of ``Philox.state``: with numpy 2.4 it takes about 1 us when
+the state words are Python ints and 2.4 us when they are uint64 arrays,
+against ~28 us to build a generator, and it is a visible share of a pairwise
+trial.
 """
 
 from __future__ import annotations
@@ -63,21 +67,35 @@ def streams(
     method then draws exactly what the fresh generator would, at a fraction of
     the cost of building one (``Philox`` draws OS entropy even when keyed).
 
+    The state dict is built once per call and only its second key word
+    changes between trials.  Its counter, key and buffer words are Python
+    ints, not uint64 arrays, because numpy's state setter reads each word by
+    indexing, which takes less than half the time on a list.  Each call has
+    its own dict, so iterators over overlapping ranges or different kinds
+    never share a key.
+
     The same object is yielded at every step, so finish drawing from it before
     advancing.  Seed and range are checked before the first draw.
     """
     if stop < start or stop - 1 > _INDEX_MASK:
         raise ValidationError(f"stream range [{start}, {stop}) is not inside [0, 2**48]")
     gen = stream(master_seed, kind, start)
-    return _rekeyed(gen, kind, start, stop)
+    return _rekeyed(gen, master_seed, kind, start, stop)
 
 
 def _rekeyed(
-    gen: np.random.Generator, kind: int, start: int, stop: int
+    gen: np.random.Generator, master_seed: int, kind: int, start: int, stop: int
 ) -> Iterator[np.random.Generator]:
     bit_generator = gen.bit_generator
-    state = bit_generator.state
-    key = state["state"]["key"]
+    key = [master_seed, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     for index in range(start, stop):
         key[1] = _key_word(kind, index)
         bit_generator.state = state

@@ -4,6 +4,7 @@ import math
 import os
 import tempfile
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -698,6 +699,8 @@ def test_support_size_must_equal_k(command, capsys):
 
 
 OVERFLOW = ["--n", "8", "--p", "10", "--k", "2"]
+Z_OVERFLOW = "pairwise statistic Z_F overflows double precision"
+MC_OVERFLOW = ["mc", "pairwise", "--wrong", "3,4", "--beta", "1e300,1e300", "--trials", "5"]
 
 
 @pytest.mark.parametrize("command, message", [
@@ -710,16 +713,37 @@ OVERFLOW = ["--n", "8", "--p", "10", "--k", "2"]
      "log_bound is -inf: the inputs overflow double precision"),
     (["bound", "mgf", "--wrong", "3,4", "--beta", "1e200,1", "--t", "0.3"],
      "log_mgf is nan: the inputs overflow double precision"),
-], ids=["decode", "mc-recover", "bound-pairwise", "bound-pairwise-csv", "bound-mgf"])
+    (MC_OVERFLOW, Z_OVERFLOW),
+    (MC_OVERFLOW + ["--design-mode", "fresh"], Z_OVERFLOW),
+    (MC_OVERFLOW + ["--noiseless"], Z_OVERFLOW),
+], ids=["decode", "mc-recover", "bound-pairwise", "bound-pairwise-csv", "bound-mgf",
+        "mc-pairwise", "mc-pairwise-fresh", "mc-pairwise-noiseless"])
 def test_finite_inputs_that_overflow_double_precision_are_usage_errors(command, message,
                                                                        tmp_path, capsys):
-    # Each value is finite, but y.y, g or the log-MGF overflows: no traceback,
-    # no JSON error and no inf written to a CSV row.
+    # Each value is finite, but y.y, g, Z_F or the log-MGF overflows: no
+    # traceback, no numpy warning, no JSON error, no inf written to a CSV row,
+    # and no overflowed trial counted as one without an error.
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert run(command + OVERFLOW + ["--out", str(out)]) == 2
+    assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_pairwise_sweep_reports_an_overflowed_statistic_in_its_row(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["sweep", "--target", "pairwise", "--wrong", "3,4", "--beta", "1e300,1e300",
+                    "--trials", "5", "--vary", "n", "--values", "8,9"]
+                   + OVERFLOW + ["--out", str(out)]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+    rows = list(csv.DictReader(out.open()))
+    assert [(row["n"], row["errors"], row["error"]) for row in rows] == [
+        ("8", "", Z_OVERFLOW), ("9", "", Z_OVERFLOW)]
 
 
 def test_decode_p_equals_k_emits_valid_json(tmp_path):

@@ -71,3 +71,28 @@ def test_streams_reject_bad_seeds_and_ranges_before_drawing(seed, start, stop):
     # Raised by the call itself, before any generator is handed out.
     with pytest.raises(ValidationError):
         rng.streams(seed, rng.KIND_NOISE, start, stop)
+
+
+@pytest.mark.parametrize("first, second", [
+    ((5, rng.KIND_NOISE, 3, 9), (5, rng.KIND_NOISE, 5, 12)),
+    ((5, rng.KIND_NOISE, 0, 6), (5, rng.KIND_NOISE, 0, 6)),
+    ((5, rng.KIND_DESIGN, 4, 10), (5, rng.KIND_PATTERN, 2, 9)),
+    ((TOP_SEED, rng.KIND_PATTERN, TOP_INDEX - 3, TOP_INDEX + 1), (0, rng.KIND_NOISE, 0, 4)),
+])
+def test_streams_advanced_alternately_never_share_their_rekey_state(first, second):
+    # Both ranges step before either draws, so a generator or a state dict
+    # shared between them would hand one range's key to the other's draws.
+    ranges = [(seed, kind, range(start, stop), rng.streams(seed, kind, start, stop))
+              for seed, kind, start, stop in (first, second)]
+    seen = [0, 0]
+    for step in range(max(len(indices) for _, _, indices, _ in ranges)):
+        live = [(which, seed, kind, indices[step], next(gens))
+                for which, (seed, kind, indices, gens) in enumerate(ranges)
+                if step < len(indices)]
+        for which, seed, kind, index, gen in live:
+            got = _draws(gen, (2, 3), 17, 4)
+            want = _draws(rng.stream(seed, kind, index), (2, 3), 17, 4)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            seen[which] += 1
+    assert seen == [len(indices) for _, _, indices, _ in ranges]
