@@ -272,15 +272,16 @@ def pairwise_trial_outcomes(spec: ExperimentSpec) -> np.ndarray:
     out = np.zeros(spec.trials, dtype=bool)
     if column_space_basis(np.hstack([qt, qf])).shape[1] == qt.shape[1] == qf.shape[1]:
         return out
-    mean = design.submatrix(t_patt) @ values
-    if spec.noiseless:
-        # Every trial observes y = mean: one Z_F, formed as a single trial's.
-        out[:] = _trial_errors(np.sum((qf.T @ mean) ** 2) - np.sum((qt.T @ mean) ** 2))
-        return out
-    for start, stop in _blocks(spec.trials, spec.n):
-        y = mean + _noise_block(spec, start, stop)
-        z = np.sum((y @ qf) ** 2, axis=1) - np.sum((y @ qt) ** 2, axis=1)
-        out[start:stop] = _trial_errors(z)
+    with np.errstate(over="ignore", invalid="ignore"):  # _trial_errors names an overflow
+        mean = design.submatrix(t_patt) @ values
+        if spec.noiseless:
+            # Every trial observes y = mean: one Z_F, formed as a single trial's.
+            out[:] = _trial_errors(np.sum((qf.T @ mean) ** 2) - np.sum((qt.T @ mean) ** 2))
+            return out
+        for start, stop in _blocks(spec.trials, spec.n):
+            y = mean + _noise_block(spec, start, stop)
+            z = np.sum((y @ qf) ** 2, axis=1) - np.sum((y @ qt) ** 2, axis=1)
+            out[start:stop] = _trial_errors(z)
     return out
 
 
@@ -307,9 +308,10 @@ def _fresh_pairwise_outcomes(
         xt = designs[:, :, list(t_patt.indices)]
         xf = designs[:, :, list(f_patt.indices)]
         qt, qf = column_space_basis(np.stack([xt, xf]))
-        y = (xt @ values + _noise_block(spec, start, stop))[:, None, :]
-        z = np.sum((y @ qf) ** 2, axis=(1, 2)) - np.sum((y @ qt) ** 2, axis=(1, 2))
-        out[start:stop] = _trial_errors(z)
+        with np.errstate(over="ignore", invalid="ignore"):  # _trial_errors names an overflow
+            y = (xt @ values + _noise_block(spec, start, stop))[:, None, :]
+            z = np.sum((y @ qf) ** 2, axis=(1, 2)) - np.sum((y @ qt) ** 2, axis=(1, 2))
+            out[start:stop] = _trial_errors(z)
     return out
 
 

@@ -2,27 +2,24 @@
 
 Every check pits a closed-form quantity against an independent route:
 grid minimization for the Chernoff constants, dense symmetric eigensolves
-for the spectrum of Pi_F - Pi_T, Monte Carlo sampling for the exact and
+for the spectrum of Pi_F - Pi_T, Gauss-Hermite quadrature for the exact and
 chi-square log-MGFs, and five-point central differences for the deficit-curve
 derivatives.  The CLI ``verify`` command runs these and exits nonzero on
 any failure.
 
-``run_all`` runs the chi-square sampled check on one helper thread while the
-other eight run on the calling thread: its standard-normal fills release the
-interpreter lock, so they overlap the Python-bound checks on a second core.
-Every check keeps its own stream, so the results, their order and the CLI
-output are those of a serial run.
+The quadrature oracles rotate the dense n x n Psi by its own eigenvectors, so
+Z = sum_i lam_i (nu_i + e_i)^2 with independent standard-normal e_i, and the
+log-MGF is a sum of one-dimensional Gaussian integrals; they draw no samples,
+and ``run_all`` runs the nine checks one after another on the calling thread.
 
-Working memory stays bounded whatever the sample or grid size: each sampled
-check draws, transforms and sums at most ``SAMPLE_BLOCK`` rows at a time, in
-place, and the Chernoff grid is built and scanned ``SAMPLE_BLOCK`` points at a
-time, never as one array.
+The Chernoff grid is built and scanned ``SAMPLE_BLOCK`` points at a time,
+never as one array, so working memory stays bounded whatever the grid size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +37,7 @@ from .bounds import (
     f_curve,
     projection_energy,
 )
+from .errors import DomainError
 from .model import (
     DesignMatrix,
     SparseSignal,
@@ -51,14 +49,22 @@ from .model import (
 
 DEFAULT_VERIFY_SEED = 20260811
 
-#: Rows per draw in the sampled-MGF checks, and points per slice of the
-#: Chernoff grid; sums and minima are accumulated block by block, so memory
-#: stays bounded whatever the sample count or grid size.
+#: Points per slice of the Chernoff grid; the minimum is accumulated slice by
+#: slice, so memory stays bounded whatever the grid size.
 SAMPLE_BLOCK = 1 << 13
 
 #: The Chernoff grid: ``np.linspace(*CHERNOFF_GRID)``, open at both ends of
 #: the rate's domain (-1/2, 1/2).
 CHERNOFF_GRID = (-0.5 + 1e-6, 0.5 - 1e-6, 1_000_000)
+
+#: Validity range of the quadrature oracle.  Up to a constant, the weight
+#: exp(-x^2/2) times exp(a (nu + x)^2) is a normal density with mean
+#: 2 a nu / (1 - 2a) and sd (1 - 2a)^{-1/2}; the 80 nodes reach out to ~16.8.
+#: Against the closed form over |a| <= 0.4, 0 <= nu <= 40, the rule is within
+#: 1.2e-11 (relative, floor 1) wherever |mean| + 4 sd <= 12, but 1.3e-6 off at
+#: a = 0.4, nu = 2 and 3e-8 off at a = 0.45, nu = 0.  The checks keep |a| <= t*.
+QUADRATURE_MAX_A = 0.4
+QUADRATURE_REACH = 12.0
 
 
 @dataclass(frozen=True)
@@ -79,22 +85,41 @@ def quadratic_form_matrix(
     return qf @ qf.T - qt @ qt.T
 
 
-def _sampled_log_mgf(
-    gen: np.random.Generator, samples: int, dim: int, statistic, t: float
-) -> float:
-    """log of the mean of exp(t * statistic(x)) over ``samples`` standard-normal
-    rows x of length ``dim``, drawn from ``gen`` ``SAMPLE_BLOCK`` rows at a time.
+@functools.cache
+def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 80 nodes and the log of the weights over sqrt(2 pi), read-only; built
+    on first use, as the rule takes ~7 ms and its import ~4 ms."""
+    from numpy.polynomial.hermite_e import hermegauss
 
-    Consecutive block draws continue the stream, so the rows are the same as
-    those of one (samples, dim) draw.  ``statistic`` owns the block it is
-    given and may overwrite it.
+    nodes, weights = hermegauss(80)
+    log_weights = np.log(weights) - 0.5 * math.log(2.0 * math.pi)
+    nodes.flags.writeable = log_weights.flags.writeable = False
+    return nodes, log_weights
+
+
+def quadrature_log_mgf(a: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """sum_i log E exp(a_i (nu_i + e)^2), e ~ N(0, 1), by 80-node
+    Gauss-Hermite quadrature, each term summed in log space.
+
+    The sum runs over the last axis of ``a`` (shape (..., m)) against ``nu``
+    (shape (m,)); the result has ``a``'s leading shape.  Raises ``DomainError``
+    outside the range where the rule is accurate: some |a_i| above
+    ``QUADRATURE_MAX_A``, or some term's tilted normal law reaching past
+    ``QUADRATURE_REACH`` (see there).
     """
-    total = 0.0
-    for start in range(0, samples, SAMPLE_BLOCK):
-        # No name holds a block, so it is freed before the next one is drawn.
-        count = min(SAMPLE_BLOCK, samples - start)
-        total += float(np.sum(np.exp(t * statistic(gen.standard_normal((count, dim))))))
-    return math.log(total / samples)
+    a = np.asarray(a, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    # NaN fails the first test, and the reach is computed only for |a| < 1/2.
+    if not (np.all(np.abs(a) <= QUADRATURE_MAX_A) and np.all(
+            np.abs(2.0 * a * nu / (1.0 - 2.0 * a)) + 4.0 / np.sqrt(1.0 - 2.0 * a)
+            <= QUADRATURE_REACH)):
+        raise DomainError(f"quadrature needs |a| <= {QUADRATURE_MAX_A} and "
+                          f"|mean| + 4 sd <= {QUADRATURE_REACH} in every term")
+    nodes, log_weights = _hermite_rule()
+    expo = a[..., None] * (nu[:, None] + nodes) ** 2 + log_weights
+    top = np.max(expo, axis=-1)
+    terms = top + np.log(np.sum(np.exp(expo - top[..., None]), axis=-1))
+    return np.sum(terms, axis=-1)
 
 
 def _random_instance(gen: np.random.Generator, n_max: int = 32, k_max: int = 4):
@@ -198,47 +223,37 @@ def check_quadratic_identities(
 
 
 def check_exact_mgf_sampling(
-    seed: int = DEFAULT_VERIFY_SEED, samples: int = 1_000_000
+    seed: int = DEFAULT_VERIFY_SEED, instances: int = 100
 ) -> CheckResult:
-    """Exact log-MGF at t* vs log of the sampled mean of exp(t* Z), n=6, p=4, k=2."""
+    """Exact log-MGF at t* and -c against quadrature on the dense Psi's own
+    eigenbasis, 1e-10 relative (floor 1 on |exact|), over random instances.
+    The names are those of the sampled check this replaced, as both are published.
+    """
     gen = rng.stream(seed, 103)
-    n, p, k = 6, 4, 2
-    design = DesignMatrix(entries=gen.standard_normal((n, p)))
-    t_patt = make_pattern([0, 1], p)
-    f_patt = make_pattern([1, 2], p)
-    signal = SparseSignal(pattern=t_patt, values=np.array([1.5, -2.0]))
-    t = CHERNOFF_T_STAR
-    exact = exact_quadratic_log_mgf(design, signal, t_patt, f_patt, t)
-    qt = build_projector(design, t_patt)
-    qf = build_projector(design, f_patt)
-    mu = design.submatrix(t_patt) @ signal.values
-
-    def z(noise):
-        ys = np.add(noise, mu, out=noise)
-        return np.sum((ys @ qf) ** 2, axis=1) - np.sum((ys @ qt) ** 2, axis=1)
-
-    sampled = _sampled_log_mgf(rng.stream(seed, 104), samples, n, z, t)
-    rel = abs(sampled - exact) / abs(exact)
-    ok = rel < 0.02
-    return CheckResult(
-        "exact-mgf-vs-sampled", ok, f"exact={exact:.6f} sampled={sampled:.6f} rel={rel:.4f}"
-    )
+    ts = np.array([CHERNOFF_T_STAR, -CHERNOFF_C])
+    worst = 0.0
+    for _ in range(instances):
+        design, signal, t_patt, f_patt = _random_instance(gen)
+        lam, vecs = np.linalg.eigh(quadratic_form_matrix(design, t_patt, f_patt))
+        nu = vecs.T @ (design.submatrix(t_patt) @ signal.values)
+        exact = exact_quadratic_log_mgf(design, signal, t_patt, f_patt, ts)
+        quad = quadrature_log_mgf(np.multiply.outer(ts, lam), nu)
+        rel = np.abs(quad - exact) / np.maximum(np.abs(exact), 1.0)
+        worst = max(worst, float(np.max(rel)))
+    ok = worst < 1e-10
+    return CheckResult("exact-mgf-vs-sampled", ok, f"worst_rel_err={worst:.3e}")
 
 
-def check_chi_square_mgf(
-    seed: int = DEFAULT_VERIFY_SEED, samples: int = 1_000_000, dof: int = 11
-) -> CheckResult:
-    """Chi-square log-MGF at t = -c against the sampled mean of exp(tW)."""
+def check_chi_square_mgf(dof: int = 11) -> CheckResult:
+    """Chi-square log-MGF at t = -c against dof quadrature terms with lam = 1
+    and nu = 0, 1e-10 relative."""
     t = -CHERNOFF_C
     exact = chi_square_log_mgf(t, dof)
-    sampled = _sampled_log_mgf(
-        rng.stream(seed, 105), samples, dof,
-        lambda noise: np.sum(np.square(noise, out=noise), axis=1), t,
-    )
-    rel = abs(sampled - exact) / abs(exact)
-    ok = rel < 0.01
+    quad = float(quadrature_log_mgf(np.full(dof, t), np.zeros(dof)))
+    rel = abs(quad - exact) / abs(exact)
+    ok = rel < 1e-10
     return CheckResult(
-        "chi-square-mgf", ok, f"exact={exact:.6f} sampled={sampled:.6f} rel={rel:.4f}"
+        "chi-square-mgf", ok, f"exact={exact:.6f} quadrature={quad:.6f} rel={rel:.3e}"
     )
 
 
@@ -342,39 +357,18 @@ def run_all(
     seed: int = DEFAULT_VERIFY_SEED,
     fault_c_sign: bool = False,
 ) -> list[CheckResult]:
-    """Run the full suite; ``fault_c_sign`` flips the sign of c as a negative control.
-
-    The seed is checked before any check starts, and an exception raised on the
-    helper thread is re-raised here.
-    """
+    """Run the full suite in published order; ``fault_c_sign`` flips the sign
+    of c as a negative control.  The seed is checked before any check runs."""
     rng.check_seed(seed)
     c_override = -CHERNOFF_C if fault_c_sign else None
-    outcome: list = []
-
-    def chi_square() -> None:
-        try:
-            outcome.append(check_chi_square_mgf(seed))
-        except BaseException as exc:  # handed to the caller, which re-raises it
-            outcome.append(exc)
-
-    helper = threading.Thread(target=chi_square, name="verify-chi-square")
-    helper.start()
-    try:
-        before = [
-            check_chernoff_constants(c_override=c_override),
-            check_rate_relaxation(),
-            check_eigen_pairs(seed),
-            check_quadratic_identities(seed),
-            check_exact_mgf_sampling(seed),
-        ]
-        after = [
-            check_chain_ordering(seed),
-            check_f_curve_derivatives(seed),
-            check_curvature_boundary_max(seed),
-        ]
-    finally:
-        helper.join()
-    (chi_square_result,) = outcome
-    if isinstance(chi_square_result, BaseException):
-        raise chi_square_result
-    return before + [chi_square_result] + after
+    return [
+        check_chernoff_constants(c_override=c_override),
+        check_rate_relaxation(),
+        check_eigen_pairs(seed),
+        check_quadratic_identities(seed),
+        check_exact_mgf_sampling(seed),
+        check_chi_square_mgf(),
+        check_chain_ordering(seed),
+        check_f_curve_derivatives(seed),
+        check_curvature_boundary_max(seed),
+    ]

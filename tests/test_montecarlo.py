@@ -121,6 +121,17 @@ def test_pairwise_requires_wrong_pattern():
         pairwise_spec(random_true_pattern=True).validate()
 
 
+@pytest.mark.parametrize("mode, noiseless", [("fixed", False), ("fresh", False), ("fixed", True)])
+def test_library_pairwise_run_names_an_overflowed_statistic(mode, noiseless):
+    # Called as a library, outside the CLI's errstate: under the test config's
+    # error::RuntimeWarning a numpy overflow warning would surface instead.
+    spec = ExperimentSpec(n=8, p=10, k=2, trials=5, master_seed=0, target="pairwise",
+                          design_mode=mode, noiseless=noiseless, wrong_pattern=(2, 3),
+                          beta_values=(1e300, 1e300))
+    with pytest.raises(ValidationError, match="Z_F overflows double precision"):
+        run_pairwise(spec)
+
+
 @pytest.mark.parametrize("make", [pairwise_spec, recovery_spec])
 def test_true_pattern_must_have_k_indices(make):
     with pytest.raises(ValidationError, match="true pattern has 1 indices, need k=2"):

@@ -25,8 +25,8 @@ def test_every_traced_name_resolves_in_the_package():
 
 
 def test_run_all_calls_exactly_the_traced_verify_checks(monkeypatch):
-    # Every check run_all calls, on the calling thread or on its helper, must
-    # be a traced verify layer, and every traced check must be called.
+    # Every check run_all calls must be a traced verify layer, and every
+    # traced check must be called.
     spans = runpy.run_path(str(SPANS))
     called = []
 

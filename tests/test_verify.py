@@ -1,12 +1,12 @@
+import math
 import threading
-import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import supportlab.verify as verify
-from supportlab.errors import ValidationError
+from supportlab.errors import DomainError, ValidationError
 
 
 def _worst(result) -> float:
@@ -54,69 +54,111 @@ PUBLISHED = [
 def _stub_checks(monkeypatch, raise_in=None):
     """Replace every check by a stub that records its name and calling thread;
     the check named ``raise_in`` raises a fresh exception, which is returned.
-
-    The chi-square stub returns only after the calling thread's last check has
-    run (or raised), and a little later still, so a serial ``run_all`` fails
-    its wait and one that does not join its helper finds no result."""
+    Starting any thread fails the test."""
     calls = []
     error = RuntimeError("stub failure")
-    main_done = threading.Event()
 
     def stub(attr, name):
         def check(*args, **kwargs):
             calls.append((attr, threading.current_thread()))
-            if attr == "check_chi_square_mgf":
-                assert main_done.wait(timeout=5), "chi-square check ran alone"
-                time.sleep(0.05)
-            elif attr in (raise_in, PUBLISHED[-1][0]):
-                main_done.set()
             if attr == raise_in:
                 raise error
             return verify.CheckResult(name, True, attr)
         return check
 
+    def start(thread):
+        raise AssertionError(f"run_all started thread {thread.name!r}")
+
     for attr, name in PUBLISHED:
         monkeypatch.setattr(verify, attr, stub(attr, name))
+    monkeypatch.setattr(threading.Thread, "start", start)
     return calls, error
 
 
-def _other_threads():
-    return [t for t in threading.enumerate() if t is not threading.current_thread()]
-
-
 def test_run_all_runs_each_check_once_and_keeps_the_published_order(monkeypatch):
+    # Serially, on the calling thread: the stubs fail any thread start.
     calls, _ = _stub_checks(monkeypatch)
-    before = _other_threads()
     results = verify.run_all(7)
     assert [r.name for r in results] == [name for _, name in PUBLISHED]
     assert [r.detail for r in results] == [attr for attr, _ in PUBLISHED]
-    assert sorted(attr for attr, _ in calls) == sorted(attr for attr, _ in PUBLISHED)
-    threads = dict(calls)
-    main = threading.current_thread()
-    assert threads.pop("check_chi_square_mgf") is not main
-    assert set(threads.values()) == {main}
-    assert _other_threads() == before
+    assert [attr for attr, _ in calls] == [attr for attr, _ in PUBLISHED]
+    assert {thread for _, thread in calls} == {threading.current_thread()}
 
 
-@pytest.mark.parametrize("raise_in", ["check_chi_square_mgf", "check_eigen_pairs"])
+@pytest.mark.parametrize("raise_in", [
+    "check_chernoff_constants", "check_eigen_pairs", "check_chi_square_mgf",
+    "check_curvature_boundary_max",
+])
 def test_run_all_reraises_a_check_exception_unchanged(monkeypatch, raise_in):
+    # The same exception object reaches the caller, and no later check runs.
     calls, error = _stub_checks(monkeypatch, raise_in=raise_in)
-    before = _other_threads()
     with pytest.raises(RuntimeError) as info:
         verify.run_all(7)
     assert info.value is error
-    assert "check_chi_square_mgf" in dict(calls)
-    assert _other_threads() == before
+    order = [attr for attr, _ in PUBLISHED]
+    assert [attr for attr, _ in calls] == order[: order.index(raise_in) + 1]
 
 
 def test_run_all_checks_the_seed_before_any_check(monkeypatch):
     calls, _ = _stub_checks(monkeypatch)
-    before = _other_threads()
     for seed in (-1, 2**64):
         with pytest.raises(ValidationError, match="master seed must be in"):
             verify.run_all(seed)
     assert calls == []
-    assert _other_threads() == before
+
+
+@pytest.mark.parametrize("seed", [0, 1, 116, 199])
+def test_all_nine_checks_pass_at_other_seeds(seed):
+    results = verify.run_all(seed)
+    assert [r.name for r in results] == [name for _, name in PUBLISHED]
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
+
+
+def test_exact_mgf_check_fails_when_the_exact_value_is_off_by_1e_8(monkeypatch):
+    exact = verify.exact_quadratic_log_mgf
+    monkeypatch.setattr(verify, "exact_quadratic_log_mgf",
+                        lambda *args: exact(*args) * (1.0 + 1e-8))
+    res = verify.check_exact_mgf_sampling()
+    assert res.name == "exact-mgf-vs-sampled"
+    assert not res.passed
+    assert _worst(res) > 1e-9
+
+
+def test_chi_square_check_fails_with_one_degree_of_freedom_too_many(monkeypatch):
+    exact = verify.chi_square_log_mgf
+    monkeypatch.setattr(verify, "chi_square_log_mgf", lambda t, dof: exact(t, dof + 1))
+    res = verify.check_chi_square_mgf()
+    assert res.name == "chi-square-mgf"
+    assert not res.passed
+
+
+@pytest.mark.parametrize("a, nu", [
+    (0.1, 0.0), (-0.3, 2.5), (0.4, 0.0), (verify.CHERNOFF_T_STAR, -4.0), (-0.4, 10.0),
+    (0.25, -3.0), (-0.05, 20.0),
+])
+def test_quadrature_matches_the_closed_form(a, nu):
+    # E exp(a (nu + e)^2) = (1 - 2a)^(-1/2) exp(a nu^2 / (1 - 2a)).
+    closed = -0.5 * math.log1p(-2.0 * a) + a * nu * nu / (1.0 - 2.0 * a)
+    quad = float(verify.quadrature_log_mgf(np.array([a]), np.array([nu])))
+    assert abs(quad - closed) <= 1e-13 * max(abs(closed), 1.0)
+
+
+def test_quadrature_sums_over_the_last_axis():
+    a = np.array([[0.1, -0.2, 0.0], [0.05, 0.3, -0.4]])
+    nu = np.array([1.0, -2.0, 3.0])
+    closed = np.sum(-0.5 * np.log1p(-2.0 * a) + a * nu * nu / (1.0 - 2.0 * a), axis=-1)
+    np.testing.assert_allclose(verify.quadrature_log_mgf(a, nu), closed, rtol=1e-13)
+
+
+@pytest.mark.parametrize("a, nu", [
+    (0.45, 0.0), (-0.45, 0.0), (0.41, 0.0), (math.nan, 0.0),  # |a| above 0.4
+    # The tilted law reaches past its nodes: each of these is 2e-11 to 1e-6
+    # off the closed form, above the checks' 1e-10.
+    (0.4, 2.0), (verify.CHERNOFF_T_STAR, 32.0), (-0.4, 32.0),
+])
+def test_quadrature_rejects_inputs_beyond_its_accurate_range(a, nu):
+    with pytest.raises(DomainError, match="quadrature needs"):
+        verify.quadrature_log_mgf(np.array([0.1, a]), np.array([0.0, nu]))
 
 
 @pytest.mark.parametrize("block", [verify.SAMPLE_BLOCK, 1000, 999_999])
