@@ -20,7 +20,7 @@ from .bounds import (
     union_error_bound_closed_form,
     union_error_bound_sum,
 )
-from .decoder import DecodeResult, decode_exhaustive, pairwise_statistic, score_support
+from .decoder import DecodeResult, decode_exhaustive, score_support
 from .errors import (
     BudgetError,
     DomainError,

@@ -76,8 +76,12 @@ def projection_energy(
     diff = pattern_difference(t_pattern, f_pattern)
     if len(diff) == 0:
         return 0.0
-    v = design.submatrix(diff) @ signal.values_on(diff)
-    return residual_energy(build_projector(design, f_pattern), v)
+    basis = build_projector(design, f_pattern)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed g is named below
+        g = residual_energy(basis, design.submatrix(diff) @ signal.values_on(diff))
+    if not math.isfinite(g):
+        raise ValidationError("projection energy g overflows double precision")
+    return g
 
 
 def _check_support_pair(design, signal, t_pattern, f_pattern):
@@ -125,17 +129,20 @@ def exact_quadratic_log_mgf(
     q = column_space_basis(np.hstack([qt, qf]))
     at, af = q.T @ qt, q.T @ qf
     lam, vecs = np.linalg.eigh(af @ af.T - at @ at.T)
-    mu = design.submatrix(t_pattern) @ signal.values
-    w_sq = (vecs.T @ (q.T @ mu)) ** 2
     denom = 1.0 - 2.0 * np.multiply.outer(ts, lam)
     singular = np.any(denom <= 0.0, axis=-1)
     if np.any(singular):
         bad = t if ts.ndim == 0 else ts[singular][0]
         raise DomainError(f"I - 2t*Psi not positive definite at t={bad}", params=("t",))
-    quad = 2.0 * ts * ts * np.sum(lam**2 * w_sq / denom, axis=-1)
-    linear = ts * np.sum(lam * w_sq)
-    logdet = np.sum(np.log(denom), axis=-1)
-    out = quad + linear - 0.5 * logdet
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        mu = design.submatrix(t_pattern) @ signal.values
+        w_sq = (vecs.T @ (q.T @ mu)) ** 2
+        quad = 2.0 * ts * ts * np.sum(lam**2 * w_sq / denom, axis=-1)
+        linear = ts * np.sum(lam * w_sq)
+        logdet = np.sum(np.log(denom), axis=-1)
+        out = quad + linear - 0.5 * logdet
+    if not np.isfinite(out).all():
+        raise ValidationError("log-MGF overflows double precision")
     return float(out) if ts.ndim == 0 else out
 
 
@@ -257,9 +264,9 @@ def convexity_condition(n: int, k: int, beta_min_sq: float) -> bool:
         raise ValidationError(f"need k >= 1, got k={k}")
     if beta_min_sq <= 0:
         raise ValidationError(f"beta_min^2 must be positive, got {beta_min_sq}")
-    lhs = (n - k) * beta_min_sq
-    rhs = 4.0 * (1.0 + k * beta_min_sq) ** 2 / (k * beta_min_sq)
-    return lhs > rhs
+    # Both sides divided by beta_min^2, so that no finite beta_min^2 overflows.
+    w = 1.0 / beta_min_sq + k
+    return n - k > 4.0 * w * w / k
 
 
 def curvature_condition(n: int, k: int, beta_min_sq: float) -> bool:
@@ -278,10 +285,10 @@ def curvature_condition(n: int, k: int, beta_min_sq: float) -> bool:
 
 
 def _f_second(d: float, n: int, k: int, beta_min_sq: float) -> float:
-    b2 = beta_min_sq
-    return -2.0 / d + 2.0 * CHERNOFF_C**2 * b2 * b2 * (n - k) / (
-        1.0 + 2.0 * CHERNOFF_C * d * b2
-    ) ** 2
+    # The fraction's terms divided by beta_min^4, so that no finite
+    # beta_min^2 overflows.
+    w = 1.0 / beta_min_sq + 2.0 * CHERNOFF_C * d
+    return -2.0 / d + 2.0 * CHERNOFF_C**2 * (n - k) / (w * w)
 
 
 def f_curve(
@@ -386,14 +393,18 @@ def sufficient_sample_size(
     if variant == "proof":
         term1 = math.log(p - k) / denom1
         term2 = (k * math.log((p - k) / k) + k) / denomk
-        return k + C * max(term1, term2)
-    if variant == "statement":
+        threshold = k + C * max(term1, term2)
+    elif variant == "statement":
         term1 = math.log(k * (p - k)) / denom1
         term2 = (k * math.log((p - k) / k) + math.log(k)) / denomk
-        return k + C * max(term1, term2)
-    term1 = math.log(p - k) / denom1
-    term2 = k * math.log(p / k) / denomk
-    return C * max(term1, term2, float(k))
+        threshold = k + C * max(term1, term2)
+    else:
+        term1 = math.log(p - k) / denom1
+        term2 = k * math.log(p / k) / denomk
+        threshold = C * max(term1, term2, float(k))
+    if not math.isfinite(threshold):
+        raise ValidationError("sufficient sample size overflows double precision")
+    return threshold
 
 
 def necessary_sample_size(p: int, k: int, beta_min_sq: float) -> float:
@@ -416,6 +427,8 @@ def necessary_sample_size(p: int, k: int, beta_min_sq: float) -> float:
         )
     f1 = (_log_comb(p, k) - 1.0) / denom1
     f2 = (math.log(p - k + 1) - 1.0) / denom2
+    if not math.isfinite(max(f1, f2)):
+        raise ValidationError("necessary sample size overflows double precision")
     return max(f1, f2, float(k - 1))
 
 

@@ -20,10 +20,10 @@ the plain message.  Such checks cover the instance's supports, signal values
 and design size, ``--t``, the candidate budget and the ``bound`` hypotheses,
 each naming only the values it compares.  ``sweep`` without
 ``--design-mode`` takes the mode from ``--target`` (fixed for pairwise, fresh
-for recovery).  A record that would hold an infinity or NaN (finite inputs
-whose result overflows) is a usage error naming the field; numpy's overflow
-warnings are silenced while a command runs, so its diagnostic is the only
-line on stderr.
+for recovery).  Finite inputs whose result overflows double precision are a
+usage error: the library names the quantity that overflowed, so no numpy
+warning precedes the diagnostic, and a record that would still hold an
+infinity or NaN is rejected naming the field.
 
 Exit codes: 0 success, 1 check/assertion failure, 2 usage/validation error.
 """
@@ -768,10 +768,7 @@ def _run(argv: list[str]) -> int:
             params = {k: v for k, v in vars(args).items() if k not in _HOUSEKEEPING}
             with open(args.emit_config, "w", encoding="utf-8") as fh:
                 fh.write(_json_text({"command": list(_command_path(args)), "params": params}))
-        # Overflow from finite inputs becomes a one-line diagnostic where the
-        # result is checked; numpy's warnings would print ahead of it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+        return args.func(args)
     except SupportLabError as exc:
         compared = {_SPEC_DESTS.get(name, name) for name in exc.params}
         if tokens and compared & _config_dests(registry[_command_path(args)], explicit, tokens):

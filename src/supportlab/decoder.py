@@ -1,4 +1,4 @@
-"""The optimal exhaustive decoder and its pairwise decision statistic.
+"""The optimal exhaustive decoder.
 
 The decoder scores every size-k support F by the residual sum of squares
 left after projecting y onto col(X_F) and declares the minimizer.  Ties
@@ -99,6 +99,8 @@ def decode_exhaustive(
     if not math.isfinite(gram.yty):
         raise ValidationError("observation energy y.y overflows double precision",
                               params=("observation",))
+    if not np.isfinite(gram.norm_sq).all():
+        raise ValidationError("design column energy overflows double precision")
     best_combo = None
     best = math.inf
     runner_up = math.inf
@@ -198,15 +200,3 @@ def _score_columns(entries, combo, y) -> float:
     the one exact scoring route, shared by the decoder and score_support."""
     return residual_energy(column_space_basis(entries[:, list(combo)]), y)
 
-
-def pairwise_statistic(instance: ProblemInstance, f: SparsityPattern) -> float:
-    """Z_F = ||y - Pi_T y||^2 - ||y - Pi_F y||^2 = y^T (Pi_F - Pi_T) y.
-
-    Strictly positive exactly when the decoder prefers F to the true support.
-    Returns exactly 0.0 for f equal to the true support.
-    """
-    if len(f) != instance.k:
-        raise ValidationError(f"candidate support size {len(f)} != k={instance.k}")
-    if f.indices == instance.true_pattern.indices:
-        return 0.0
-    return score_support(instance, instance.true_pattern) - score_support(instance, f)

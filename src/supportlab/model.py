@@ -198,11 +198,18 @@ def synthesize_observation(
     """Return X_T beta_T + eps, eps i.i.d. standard normal (zero when noiseless)."""
     if signal.pattern.p != design.p:
         raise ValidationError(f"signal ambient {signal.pattern.p} != design p {design.p}")
-    mean = design.submatrix(signal.pattern) @ signal.values
-    if noiseless:
-        return mean
-    eps = stream(noise_seed, KIND_NOISE).standard_normal(design.n)
-    return mean + eps
+    noise = 0.0 if noiseless else stream(noise_seed, KIND_NOISE).standard_normal(design.n)
+    return observe(design, signal, noise)
+
+
+def observe(design: DesignMatrix, signal: SparseSignal, noise: float | np.ndarray) -> np.ndarray:
+    """X_T beta_T + noise.  Finite inputs whose sum overflows double precision
+    raise ``ValidationError``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        y = design.submatrix(signal.pattern) @ signal.values + noise
+    if not np.isfinite(y).all():
+        raise ValidationError("observation overflows double precision")
+    return y
 
 
 def column_space_basis(sub: np.ndarray) -> np.ndarray:

@@ -4,9 +4,11 @@ Each trial draws its noise (and, in fresh-design mode, its matrix) from its
 own counter-based stream keyed by (master_seed, kind, trial index), so the
 per-trial outcome is a pure function of the experiment spec.  Trials run
 serially, in index order, in fixed-size blocks: a block draws its trials'
-streams through one re-keyed generator (``rng.streams``) and evaluates the
-pairwise statistic for the whole block at once.  Block edges never change a
-draw, so a run of N trials is a prefix of a run of N + M trials.
+streams through one re-keyed generator (``rng.streams``).  Pairwise runs of
+every design mode, noiseless ones included, go through one block loop that
+forms the pairwise statistic Z_F for the whole block in one expression.
+Block edges never change a draw, so a run of N trials is a prefix of a run
+of N + M trials.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .model import (
     flat_signal,
     gaussian_design,
     make_pattern,
+    observe,
     pattern_count,
     pattern_difference,
 )
@@ -235,8 +238,11 @@ def _normal_block(
 
 
 def _noise_block(spec: ExperimentSpec, start: int, stop: int) -> np.ndarray:
+    """One noise row per trial in [start, stop).  Noiseless runs get a single
+    zero row, which broadcasts over the block: every trial observes the same
+    y, so a fixed design forms its Z_F once, with the arithmetic of one trial."""
     if spec.noiseless:
-        return np.zeros((stop - start, spec.n))
+        return np.zeros((1, spec.n))
     return _normal_block(spec, rng.KIND_NOISE, start, stop, (spec.n,))
 
 
@@ -253,9 +259,10 @@ def pairwise_trial_outcomes(spec: ExperimentSpec) -> np.ndarray:
     """Boolean error indicator per trial: Z_F > 0 (decoder strictly prefers F).
 
     Z_F = ||Q_F^T y||^2 - ||Q_T^T y||^2, with Q_T and Q_F orthonormal bases of
-    col(X_T) and col(X_F).  When the two column spaces coincide Z_F is
-    identically zero, so no trial errs (the computed Z_F would be rounding
-    noise of either sign).
+    col(X_T) and col(X_F): fixed-design mode builds them once, from design 0,
+    and fresh-design mode per trial, with one batched SVD per block.  When the
+    fixed design's two column spaces coincide Z_F is identically zero, so no
+    trial errs (the computed Z_F would be rounding noise of either sign).
     """
     spec.validate()
     if spec.target != TARGET_PAIRWISE:
@@ -263,55 +270,33 @@ def pairwise_trial_outcomes(spec: ExperimentSpec) -> np.ndarray:
     t_patt = spec.true_support()
     f_patt = spec.wrong_support()
     values = spec.signal_on(t_patt).values
-    if spec.design_mode == DESIGN_FRESH:
-        return _fresh_pairwise_outcomes(spec, t_patt, f_patt, values)
-    # Fixed-design mode draws design 0 once.
-    design = gaussian_design(spec.n, spec.p, spec.master_seed)
-    qt = build_projector(design, t_patt)
-    qf = build_projector(design, f_patt)
+    fresh = spec.design_mode == DESIGN_FRESH
     out = np.zeros(spec.trials, dtype=bool)
-    if column_space_basis(np.hstack([qt, qf])).shape[1] == qt.shape[1] == qf.shape[1]:
-        return out
-    with np.errstate(over="ignore", invalid="ignore"):  # _trial_errors names an overflow
-        mean = design.submatrix(t_patt) @ values
-        if spec.noiseless:
-            # Every trial observes y = mean: one Z_F, formed as a single trial's.
-            out[:] = _trial_errors(np.sum((qf.T @ mean) ** 2) - np.sum((qt.T @ mean) ** 2))
+    if not fresh:
+        design = gaussian_design(spec.n, spec.p, spec.master_seed)
+        qt = build_projector(design, t_patt)
+        qf = build_projector(design, f_patt)
+        if column_space_basis(np.hstack([qt, qf])).shape[1] == qt.shape[1] == qf.shape[1]:
             return out
-        for start, stop in _blocks(spec.trials, spec.n):
-            y = mean + _noise_block(spec, start, stop)
-            z = np.sum((y @ qf) ** 2, axis=1) - np.sum((y @ qt) ** 2, axis=1)
-            out[start:stop] = _trial_errors(z)
-    return out
-
-
-def _trial_errors(z: np.ndarray) -> np.ndarray:
-    """Z_F > 0 for each trial of a block.  Finite inputs can overflow Z_F to
-    inf or NaN, which ``> 0`` would read as a trial with or without an error,
-    so a block holding one is rejected (one check per block)."""
-    if not np.isfinite(z).all():
-        raise ValidationError("pairwise statistic Z_F overflows double precision",
-                              params=("beta_values", "beta_min"))
-    return z > 0.0
-
-
-def _fresh_pairwise_outcomes(
-    spec: ExperimentSpec, t_patt: SparsityPattern, f_patt: SparsityPattern, values: np.ndarray
-) -> np.ndarray:
-    """Pairwise outcomes with design i drawn for trial i: one batched SVD per
-    block gives every trial's Q_T and Q_F."""
-    out = np.zeros(spec.trials, dtype=bool)
-    for start, stop in _blocks(spec.trials, spec.n * spec.p):
-        designs = _normal_block(spec, rng.KIND_DESIGN, start, stop, (spec.n, spec.p))
-        if not np.isfinite(designs).all():  # DesignMatrix's check, once per block
-            raise ValidationError("design entries must be finite")
-        xt = designs[:, :, list(t_patt.indices)]
-        xf = designs[:, :, list(f_patt.indices)]
-        qt, qf = column_space_basis(np.stack([xt, xf]))
-        with np.errstate(over="ignore", invalid="ignore"):  # _trial_errors names an overflow
-            y = (xt @ values + _noise_block(spec, start, stop))[:, None, :]
-            z = np.sum((y @ qf) ** 2, axis=(1, 2)) - np.sum((y @ qt) ** 2, axis=(1, 2))
-            out[start:stop] = _trial_errors(z)
+        xt = design.submatrix(t_patt)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed Z_F is named below
+        for start, stop in _blocks(spec.trials, spec.n * spec.p if fresh else spec.n):
+            if fresh:
+                designs = _normal_block(spec, rng.KIND_DESIGN, start, stop, (spec.n, spec.p))
+                if not np.isfinite(designs).all():  # DesignMatrix's check, once per block
+                    raise ValidationError("design entries must be finite")
+                xt = designs[:, :, list(t_patt.indices)]
+                qt, qf = column_space_basis(np.stack([xt, designs[:, :, list(f_patt.indices)]]))
+            y = xt @ values + _noise_block(spec, start, stop)
+            if fresh:
+                y = y[:, None, :]  # each trial's row vector meets its own bases
+            z = np.sum((y @ qf) ** 2, axis=-1) - np.sum((y @ qt) ** 2, axis=-1)
+            # Finite inputs can overflow Z_F to inf or NaN, which > 0 would read
+            # as a trial with or without an error: one check per block.
+            if not np.isfinite(z).all():
+                raise ValidationError("pairwise statistic Z_F overflows double precision",
+                                      params=("beta_values", "beta_min"))
+            out[start:stop] = (z > 0.0).reshape(-1)
     return out
 
 
@@ -333,13 +318,13 @@ def recovery_trial_outcomes(
         draws = zip(
             _support_block(spec, start, stop),
             _normal_block(spec, rng.KIND_DESIGN, start, stop, (spec.n, spec.p)),
-            _noise_block(spec, start, stop),
+            np.broadcast_to(_noise_block(spec, start, stop), (stop - start, spec.n)),
         )
         for i, (t_patt, entries, noise) in enumerate(draws, start):
             signal = spec.signal_on(t_patt)
             design = DesignMatrix(entries=entries)
-            y = design.submatrix(t_patt) @ signal.values + noise
-            inst = ProblemInstance(design=design, signal=signal, observation=y)
+            inst = ProblemInstance(design=design, signal=signal,
+                                   observation=observe(design, signal, noise))
             decoded = decode_exhaustive(inst, max_candidates)
             out[i] = decoded.pattern.indices != t_patt.indices
     return out

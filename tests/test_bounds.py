@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from supportlab.model import (
     DesignMatrix,
     SparseSignal,
     build_projector,
+    gaussian_design,
     make_pattern,
     pattern_difference,
 )
@@ -243,6 +245,21 @@ def test_pairwise_bound_vacuous_at_truth():
     assert rep.probability == 1.0
 
 
+@pytest.mark.parametrize("bound, args, message", [
+    (projection_energy, (), "projection energy g overflows double precision"),
+    (pairwise_conditional_bound, (), "projection energy g overflows double precision"),
+    (exact_quadratic_log_mgf, (0.3,), "log-MGF overflows double precision"),
+    (exact_quadratic_log_mgf, (np.array([-0.2, 0.3]),), "log-MGF overflows double precision"),
+], ids=["projection-energy", "pairwise-bound", "exact-mgf", "exact-mgf-array"])
+def test_finite_inputs_that_overflow_are_validation_errors(bound, args, message):
+    # Every value is finite but the squared energies overflow.  Under the
+    # test config a numpy warning would surface here as an error instead.
+    t_patt, f_patt = make_pattern([0, 1], 10), make_pattern([2, 3], 10)
+    signal = SparseSignal(pattern=t_patt, values=np.array([1e155, 1.0]))
+    with pytest.raises(ValidationError, match=message):
+        bound(gaussian_design(8, 10, SEED), signal, t_patt, f_patt, *args)
+
+
 def test_pairwise_bound_orthonormal_columns():
     # Orthonormal two-column design, T={0}, F={1}, beta=(4): g = 16 exactly.
     design = DesignMatrix(entries=np.eye(5)[:, :2])
@@ -449,6 +466,29 @@ def test_convexity_condition_direct_substitution():
     assert convexity_condition(17, 1, 1.0) is False  # boundary: strict inequality
 
 
+def _exact_convexity(n, k, b2):
+    b = Fraction(b2)
+    return (n - k) * b > 4 * (1 + k * b) ** 2 / (k * b)
+
+
+def _exact_curvature(n, k, b2):
+    b, c = Fraction(b2), Fraction(CHERNOFF_C)
+    return all(-Fraction(2, d) + 2 * c**2 * b**2 * (n - k) / (1 + 2 * c * d * b) ** 2 > 0
+               for d in (1, k))
+
+
+@pytest.mark.parametrize("b2", [1e154, 1e160, 1e300])
+def test_conditions_at_large_finite_beta_min_sq_match_exact_arithmetic(b2):
+    # (1 + k b^2)^2 overflows a float here; both conditions still agree with
+    # rational arithmetic on the same n, k and b^2, on both sides of the edge.
+    for k in (1, 2, 5):
+        for n in range(k + 1, 80):
+            assert convexity_condition(n, k, b2) == _exact_convexity(n, k, b2)
+            assert curvature_condition(n, k, b2) == _exact_curvature(n, k, b2)
+    assert not convexity_condition(4 * 5 + 5, 5, b2) and convexity_condition(4 * 5 + 6, 5, b2)
+    assert not curvature_condition(4 * 5 + 5, 5, b2) and curvature_condition(4 * 5 + 6, 5, b2)
+
+
 def test_published_convexity_condition_does_not_imply_positive_curvature():
     # Negative control for the published constant: at k=1, beta^2=1, n-k=17
     # the published inequality holds but f''(1) < 0; the exact requirement
@@ -577,6 +617,16 @@ def test_necessary_sample_size_domain_errors():
         necessary_sample_size(5, 5, 1.0)
     with pytest.raises(DomainError):
         necessary_sample_size(10, 2, 0.0)
+
+
+def test_sample_size_thresholds_that_overflow_are_validation_errors():
+    with pytest.raises(ValidationError, match="sufficient sample size overflows"):
+        sufficient_sample_size(100, 2, 1.0, 1e308)
+    for variant in ("proof", "statement", "corollary"):
+        with pytest.raises(ValidationError, match="sufficient sample size overflows"):
+            sufficient_sample_size(100, 2, 1e-320, 9.0, variant=variant)
+    with pytest.raises(ValidationError, match="necessary sample size overflows"):
+        necessary_sample_size(100, 2, 1e-320)
 
 
 def test_necessary_below_sufficient_trend():

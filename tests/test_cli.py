@@ -193,6 +193,51 @@ def test_conditions_regime_shorthand(tmp_path):
     assert lines[1].startswith("linear_unit,64,16,")
 
 
+@pytest.mark.parametrize("b2", ["1e154", "1e160", "1e300"])
+def test_large_finite_beta_min_sq_gives_a_value(b2, tmp_path):
+    # (1 + k b^2)^2 would overflow a float: each condition is evaluated with
+    # its terms divided by powers of b^2.
+    out = tmp_path / "c.csv"
+    assert run(["conditions", "--point", f"100:2:{b2}", "--out", str(out)]) == 0
+    [row] = csv.DictReader(out.read_text().splitlines())
+    # Taken at n = ceil(sufficient_n) = 3; for large b^2 it needs n - k > 4k.
+    assert (row["convexity_ok"], row["error"]) == ("False", "")
+    out = tmp_path / "u.json"
+    assert run(["bound", "union-closed", "--n", "400", "--p", "100", "--k", "1",
+                "--beta-min-sq", b2, "--out", str(out)]) == 0
+    # The closed form depends on b^2 only through its preconditions.
+    assert json.loads(out.read_text())["log_bound"] == pytest.approx(2.5 - 2 * math.log(99))
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--point", "1:2"], "--point needs p:k:beta_min_sq, got '1:2'"),
+    ([], "conditions needs --point p:k:beta_min_sq (repeatable) or --regime"),
+], ids=["malformed-point", "no-point-or-regime"])
+def test_conditions_without_a_well_formed_point_is_a_usage_error(args, message, capsys):
+    assert run(["conditions"] + args) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("args, error", [
+    (["--regime", "linear_unit", "--p-grid", "64,32"], "p grid must be strictly increasing"),
+    (["--regime", "linear_unit", "--C", "1e308"],
+     "sufficient sample size overflows double precision"),
+], ids=["decreasing-grid", "overflowed-threshold"])
+def test_conditions_regime_error_row_exits_2(args, error, tmp_path):
+    out = tmp_path / "r.csv"
+    assert run(["conditions"] + args + ["--out", str(out)]) == 2
+    assert out.read_text().splitlines()[1:] == [f"linear_unit,,,,,,,,,{error}"]
+
+
+def test_conditions_point_whose_threshold_overflows_reports_row_error(tmp_path):
+    out = tmp_path / "c.csv"
+    assert run(["conditions", "--point", "100:2:1e-320", "--point", "100:2:1",
+                "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [row["error"] for row in rows] == [
+        "sufficient sample size overflows double precision", ""]
+
+
 # ------------------------------------------------------------------------ mc
 
 
@@ -420,6 +465,14 @@ def test_malformed_instance_file_names_the_path(text, tmp_path, capsys):
     assert str(path) in capsys.readouterr().err
 
 
+def test_config_naming_an_unknown_command_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": ["bound", "frobnicate"], "params": {}}))
+    assert run(["bound", "union-sum", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config {path} names unknown command ['bound', 'frobnicate']\n")
+
+
 def test_missing_config_file_names_the_path(tmp_path, capsys):
     path = tmp_path / "missing_cfg.json"
     assert run(["mc", "pairwise", "--config", str(path)]) == 2
@@ -526,10 +579,12 @@ def test_cross_flag_check_names_the_config_only_for_its_own_value(key, value, fl
     (["bound", "pairwise"], ["--p", "7"], {"wrong": "1,2,3"}, "--wrong has 3 indices, need k=2"),
     (["bound", "mgf"], ["--p", "7", "--t", "0.2"], {"wrong": "1,2,3"},
      "--wrong has 3 indices, need k=2"),
+    (["sweep"], ["--wrong", "2,3", "--trials", "5", "--values", "8"], {"vary": "q"},
+     "--vary must be one of n,p,k,trials,beta_min, got 'q'"),
 ], ids=["recover-n-k", "recover-support", "pairwise-wrong", "union-sum-n-k", "union-closed-k",
         "recover-support-range", "pairwise-wrong-range", "bound-pairwise-wrong-range",
         "decode-beta-zero", "recover-beta-zero", "mgf-t", "decode-cap", "recover-cap",
-        "bound-pairwise-wrong-size", "mgf-wrong-size"])
+        "bound-pairwise-wrong-size", "mgf-wrong-size", "sweep-vary"])
 def test_failed_check_names_the_config_when_a_value_it_compares_came_from_it(
         words, base, params, message, tmp_path, capsys):
     # The message need not start with a flag: the config is named when any
@@ -703,21 +758,29 @@ Z_OVERFLOW = "pairwise statistic Z_F overflows double precision"
 MC_OVERFLOW = ["mc", "pairwise", "--wrong", "3,4", "--beta", "1e300,1e300", "--trials", "5"]
 
 
+G_OVERFLOW = "projection energy g overflows double precision"
+MGF_OVERFLOW = "log-MGF overflows double precision"
+Y_OVERFLOW = "observation overflows double precision"
+
+
 @pytest.mark.parametrize("command, message", [
     (["decode", "--beta", "1e300,1e300"], "observation energy y.y overflows double precision"),
     (["mc", "recover", "--beta", "1e300,1e300", "--trials", "5"],
      "observation energy y.y overflows double precision"),
-    (["bound", "pairwise", "--wrong", "3,4", "--beta", "1e155,1"],
-     "log_bound is -inf: the inputs overflow double precision"),
+    (["bound", "pairwise", "--wrong", "3,4", "--beta", "1e155,1"], G_OVERFLOW),
     (["bound", "pairwise", "--wrong", "3,4", "--beta", "1e155,1", "--format", "csv"],
-     "log_bound is -inf: the inputs overflow double precision"),
-    (["bound", "mgf", "--wrong", "3,4", "--beta", "1e200,1", "--t", "0.3"],
-     "log_mgf is nan: the inputs overflow double precision"),
+     G_OVERFLOW),
+    (["bound", "mgf", "--wrong", "3,4", "--beta", "1e200,1", "--t", "0.3"], MGF_OVERFLOW),
     (MC_OVERFLOW, Z_OVERFLOW),
     (MC_OVERFLOW + ["--design-mode", "fresh"], Z_OVERFLOW),
     (MC_OVERFLOW + ["--noiseless"], Z_OVERFLOW),
+    (["decode", "--beta", "1e308,1e308"], Y_OVERFLOW),
+    (["mc", "recover", "--beta", "1e308,1e308", "--trials", "5"], Y_OVERFLOW),
+    (["bound", "pairwise", "--wrong", "3,4", "--beta", "1e308,1"], G_OVERFLOW),
+    (["bound", "mgf", "--wrong", "3,4", "--beta", "1e308,1", "--t", "0.3"], MGF_OVERFLOW),
 ], ids=["decode", "mc-recover", "bound-pairwise", "bound-pairwise-csv", "bound-mgf",
-        "mc-pairwise", "mc-pairwise-fresh", "mc-pairwise-noiseless"])
+        "mc-pairwise", "mc-pairwise-fresh", "mc-pairwise-noiseless", "decode-1e308",
+        "mc-recover-1e308", "bound-pairwise-1e308", "bound-mgf-1e308"])
 def test_finite_inputs_that_overflow_double_precision_are_usage_errors(command, message,
                                                                        tmp_path, capsys):
     # Each value is finite, but y.y, g, Z_F or the log-MGF overflows: no
@@ -741,7 +804,7 @@ def test_pairwise_sweep_reports_an_overflowed_statistic_in_its_row(tmp_path, cap
                    + OVERFLOW + ["--out", str(out)]) == 0
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err == ""
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert [(row["n"], row["errors"], row["error"]) for row in rows] == [
         ("8", "", Z_OVERFLOW), ("9", "", Z_OVERFLOW)]
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supportlab import decoder
-from supportlab.decoder import decode_exhaustive, pairwise_statistic, score_support
+from supportlab.decoder import decode_exhaustive, score_support
 from supportlab.errors import BudgetError, ValidationError
 from supportlab.model import (
     DesignMatrix,
@@ -129,6 +129,16 @@ def test_decode_nan_observation_is_a_validation_error():
         )
 
 
+def test_decode_names_an_overflowed_column_energy():
+    # Column norms overflow above ~1e154; the rank cutoff, scaled by the
+    # largest of them, would then drop every column of every candidate.
+    inst = seeded_instance(SEED)
+    big = ProblemInstance(design=DesignMatrix(entries=inst.design.entries * 1e200),
+                          signal=inst.signal, observation=inst.observation)
+    with pytest.raises(ValidationError, match="design column energy overflows double precision"):
+        decode_exhaustive(big)
+
+
 def test_decode_budget_error_names_count():
     inst = seeded_instance(SEED, n=8, p=20, k=6)
     with pytest.raises(BudgetError, match=r"C\(20,6\) = 38760"):
@@ -178,16 +188,16 @@ def test_decode_permutation_equivariance():
 # --------------------------------------------------------- pairwise statistic
 
 
-def test_pairwise_statistic_at_truth_is_exactly_zero():
-    inst = seeded_instance(SEED)
-    assert pairwise_statistic(inst, inst.true_pattern) == 0.0
+def z_f(inst, f):
+    """Z_F = ||y - Pi_T y||^2 - ||y - Pi_F y||^2 from the decoder's own scores."""
+    return score_support(inst, inst.true_pattern) - score_support(inst, f)
 
 
 def test_pairwise_statistic_noiseless_negative():
     for seed in range(10):
         inst = seeded_instance(seed, noiseless=True)
         for f in (make_pattern([2, 3], 10), make_pattern([0, 5], 10)):
-            assert pairwise_statistic(inst, f) < 0.0
+            assert z_f(inst, f) < 0.0
 
 
 def test_pairwise_statistic_quadratic_form_oracle():
@@ -201,24 +211,18 @@ def test_pairwise_statistic_quadratic_form_oracle():
             qf = build_projector(inst.design, f)
             pi_f = qf @ qf.T
             dense = float(y @ (pi_f - pi_t) @ y)
-            assert abs(pairwise_statistic(inst, f) - dense) <= 1e-9
+            assert abs(z_f(inst, f) - dense) <= 1e-9
 
 
 def test_pairwise_sign_agrees_with_decoder_preference():
+    # The declared support maximises Z_F, and the decoder errs exactly when
+    # its Z_F is positive.
     for seed in range(10):
-        inst = seeded_instance(seed, n=8, p=9, k=2)
-        s_true = score_support(inst, inst.true_pattern)
-        for f in all_patterns(9, 2):
-            if f.indices == inst.true_pattern.indices:
-                continue
-            prefers_f = score_support(inst, f) < s_true
-            assert prefers_f == (pairwise_statistic(inst, f) > 0.0)
-
-
-def test_pairwise_statistic_wrong_cardinality():
-    inst = seeded_instance(SEED)
-    with pytest.raises(ValidationError):
-        pairwise_statistic(inst, make_pattern([1], 10))
+        inst = seeded_instance(seed, n=4, p=9, k=2)
+        declared = decode_exhaustive(inst).pattern
+        z_declared = z_f(inst, declared)
+        assert all(z_f(inst, f) <= z_declared for f in all_patterns(9, 2))
+        assert (declared.indices != inst.true_pattern.indices) == (z_declared > 0.0)
 
 
 # ------------------------------------------------- rank-deficient designs

@@ -191,6 +191,14 @@ def test_synthesize_dimension_mismatch():
         synthesize_observation(design, sig, noise_seed=0)
 
 
+@pytest.mark.parametrize("noiseless", [False, True])
+def test_synthesize_names_an_overflowed_observation(noiseless):
+    design = gaussian_design(8, 10, seed=3)
+    sig = SparseSignal(pattern=make_pattern([0, 1], 10), values=np.array([1e308, 1e308]))
+    with pytest.raises(ValidationError, match="observation overflows double precision"):
+        synthesize_observation(design, sig, noise_seed=3, noiseless=noiseless)
+
+
 def test_noise_energy_chi_square_mean():
     # y = X_T beta_T + eps with eps the noise stream's first n normals, bit for
     # bit, so ||y - X_T beta_T||^2 = ||eps||^2 is chi-square with n degrees of

@@ -80,9 +80,12 @@ def test_wilson_validation():
 
 
 def test_pairwise_at_truth_never_errors():
-    spec = pairwise_spec(wrong_pattern=(0, 1), trials=500)
-    result = run_pairwise(spec)
-    assert result.error_count == 0  # Z at the truth is identically 0, strictly
+    # Z at the truth is identically 0, strictly, and the bound is vacuous.
+    # Fresh-design mode has no coincidence check: its Z_F comes out exactly 0.
+    for mode in ("fixed", "fresh"):
+        result = run_pairwise(pairwise_spec(wrong_pattern=(0, 1), trials=500, design_mode=mode))
+        assert result.error_count == 0
+        assert result.bound_value == 1.0
 
 
 def test_pairwise_dominated_and_reproducible_across_seeds():
@@ -130,6 +133,29 @@ def test_library_pairwise_run_names_an_overflowed_statistic(mode, noiseless):
                           beta_values=(1e300, 1e300))
     with pytest.raises(ValidationError, match="Z_F overflows double precision"):
         run_pairwise(spec)
+
+
+@pytest.mark.parametrize("wrong, beta", [((1, 2), None), ((2, 3), (0.6, -1.1)), ((0, 5), None)])
+def test_fixed_design_outcomes_follow_a_dense_quadratic_form(wrong, beta):
+    # Each trial errs exactly when y^T (Pi_F - Pi_T) y > 0, with Pi_T and
+    # Pi_F dense n x n projectors from the normal equations and y rebuilt from
+    # the trial's own noise stream.  Near-ties are skipped.
+    spec = pairwise_spec(trials=600, wrong_pattern=wrong, beta_values=beta, beta_min=0.6)
+    entries = gaussian_design(spec.n, spec.p, SEED).entries
+    xt = entries[:, list(spec.true_support().indices)]
+    xf = entries[:, list(spec.wrong_support().indices)]
+    psi = (xf @ np.linalg.solve(xf.T @ xf, xf.T)) - (xt @ np.linalg.solve(xt.T @ xt, xt.T))
+    mean = xt @ spec.signal_on(spec.true_support()).values
+    outcomes = pairwise_trial_outcomes(spec)
+    checked = 0
+    for i, erred in enumerate(outcomes):
+        y = mean + rng.stream(SEED, rng.KIND_NOISE, i).standard_normal(spec.n)
+        z = float(y @ psi @ y)
+        if abs(z) >= 1e-9:
+            assert erred == (z > 0.0)
+            checked += 1
+    assert checked > 590
+    assert 0 < outcomes.sum() < spec.trials
 
 
 @pytest.mark.parametrize("make", [pairwise_spec, recovery_spec])
