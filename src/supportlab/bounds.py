@@ -13,6 +13,7 @@ invisible to the wrong subspace.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -146,21 +147,26 @@ def exact_quadratic_log_mgf(
     return float(out) if ts.ndim == 0 else out
 
 
-def chain_log_bound(g: float, d: int, t: float) -> float:
+def chain_log_bound(g: float, d: int, t: float | np.ndarray) -> float | np.ndarray:
     """Operator-norm/eigen-pair relaxation of the exact log-MGF at parameter t.
 
     [2t^2/(1 - 2|t|) - t] * g - (d/2) log(1 - 4t^2).  The |t| in the
     denominator keeps the operator-norm step valid on both signs of t; for
     t >= 0 (including the optimal t*) it coincides with 2t^2/(1-2t) - t.
+
+    ``t`` is a scalar (returns a float) or an array (returns an array of its
+    shape), as in ``exact_quadratic_log_mgf``.
     """
-    if abs(t) >= 0.5:
+    ts = np.asarray(t, dtype=float)
+    if not np.all(np.abs(ts) < 0.5):  # NaN fails too
         raise DomainError(f"chain bound requires |t| < 1/2, got t={t}")
     if g < 0:
         raise ValidationError(f"projection energy must be nonnegative, got {g}")
     if d < 0:
         raise ValidationError(f"overlap deficit must be nonnegative, got {d}")
-    rate = 2.0 * t * t / (1.0 - 2.0 * abs(t)) - t
-    return rate * g - 0.5 * d * math.log1p(-4.0 * t * t)
+    rate = 2.0 * ts * ts / (1.0 - 2.0 * np.abs(ts)) - ts
+    out = rate * g - 0.5 * d * np.log1p(-4.0 * ts * ts)
+    return float(out) if ts.ndim == 0 else out
 
 
 def pairwise_conditional_bound(
@@ -203,6 +209,7 @@ def averaged_pairwise_bound(n: int, k: int, d: int, miss_energy: float) -> Bound
     if miss_energy < 0:
         raise ValidationError(f"miss energy must be nonnegative, got {miss_energy}",
                               params=("miss_energy",))
+    _check_double_range(n=n)  # n > k >= d
     log_bound = -0.5 * (n - k) * math.log1p(2.0 * CHERNOFF_C * miss_energy) + 0.5 * d
     return BoundReport.from_log(log_bound, d=d)
 
@@ -214,15 +221,10 @@ def union_error_bound_sum(n: int, p: int, k: int, beta_min_sq: float) -> BoundRe
     accumulated with log-sum-exp; the total is clamped to 1 only at the end.
     """
     _check_union_params(n, p, k, beta_min_sq)
-    terms = []
-    for d in range(1, k + 1):
-        log_count = _log_comb(k, d) + _log_comb(p - k, d)
-        log_term = log_count - 0.5 * (n - k) * math.log1p(
-            2.0 * CHERNOFF_C * d * beta_min_sq
-        ) + 0.5 * d
-        terms.append(log_term)
-    log_bound = _log_sum_exp(terms)
-    return BoundReport.from_log(log_bound)
+    terms = [_log_comb(k, d) + _log_comb(p - k, d)
+             - 0.5 * (n - k) * math.log1p(2.0 * CHERNOFF_C * d * beta_min_sq) + 0.5 * d
+             for d in range(1, k + 1)]
+    return BoundReport.from_log(_log_sum_exp(terms))
 
 
 def _check_union_params(n: int, p: int, k: int, beta_min_sq: float) -> None:
@@ -233,6 +235,14 @@ def _check_union_params(n: int, p: int, k: int, beta_min_sq: float) -> None:
     if beta_min_sq <= 0:
         raise ValidationError(f"beta_min^2 must be positive, got {beta_min_sq}",
                               params=("beta_min_sq",))
+    _check_double_range(n=n, p=p)  # both above k
+
+
+def _check_double_range(**values: int) -> None:
+    """Name the first integer that no float arithmetic can take."""
+    for name, value in values.items():
+        if abs(value) > sys.float_info.max:
+            raise ValidationError(f"{name} is too large for double precision", params=(name,))
 
 
 def _log_comb(a: int, b: int) -> float:
@@ -292,8 +302,8 @@ def _f_second(d: float, n: int, k: int, beta_min_sq: float) -> float:
 
 
 def f_curve(
-    d: float, n: int, p: int, k: int, beta_min_sq: float
-) -> tuple[float, float, float]:
+    d: float | np.ndarray, n: int, p: int, k: int, beta_min_sq: float
+) -> tuple:
     """The deficit curve f(d) and its first two derivatives.
 
     f(d) = d [5/2 + log(k(p-k)/d^2)] - ((n-k)/2) log(1 + 2c d beta_min^2)
@@ -303,8 +313,12 @@ def f_curve(
     The 1/2 in f' is the calculus-correct constant (the published display's
     5/2 drops the -2 from differentiating d*log(1/d^2)); both derivatives
     match central finite differences of f.
+
+    ``d`` is a scalar (returns three floats) or an array (returns three
+    arrays of its shape), so one call evaluates the curve on a whole grid.
     """
-    if d <= 0:
+    ds = np.asarray(d, dtype=float)
+    if not np.all(ds > 0):  # NaN fails too
         raise DomainError(f"deficit must be positive, got d={d}")
     if k < 1 or p <= k:
         raise ValidationError(f"need p > k >= 1, got p={p}, k={k}")
@@ -312,10 +326,12 @@ def f_curve(
         raise ValidationError(f"beta_min^2 must be positive, got {beta_min_sq}")
     b2 = beta_min_sq
     c = CHERNOFF_C
-    log_ratio = math.log(k * (p - k) / (d * d))
-    f = d * (2.5 + log_ratio) - 0.5 * (n - k) * math.log1p(2.0 * c * d * b2)
-    fp = 0.5 + log_ratio - c * b2 * (n - k) / (1.0 + 2.0 * c * d * b2)
-    fpp = _f_second(d, n, k, b2)
+    log_ratio = np.log(k * (p - k) / (ds * ds))
+    f = ds * (2.5 + log_ratio) - 0.5 * (n - k) * np.log1p(2.0 * c * ds * b2)
+    fp = 0.5 + log_ratio - c * b2 * (n - k) / (1.0 + 2.0 * c * ds * b2)
+    fpp = _f_second(ds, n, k, b2)
+    if ds.ndim == 0:
+        return float(f), float(fp), float(fpp)
     return f, fp, fpp
 
 
@@ -387,6 +403,7 @@ def sufficient_sample_size(
         raise ValidationError(f"beta_min^2 must be positive, got {beta_min_sq}")
     if C <= 0:
         raise ValidationError(f"C must be positive, got {C}")
+    _check_double_range(p=p)  # p > 2k
     b2 = beta_min_sq
     denom1 = math.log1p(b2)
     denomk = math.log1p(k * b2)
@@ -418,6 +435,7 @@ def necessary_sample_size(p: int, k: int, beta_min_sq: float) -> float:
         raise ValidationError(f"need p > k >= 1, got p={p}, k={k}")
     if beta_min_sq <= 0:
         raise DomainError(f"beta_min^2 must be positive, got {beta_min_sq}")
+    _check_double_range(p=p)  # p > k
     b2 = beta_min_sq
     denom1 = 0.5 * math.log1p(k * b2 * (1.0 - k / p))
     denom2 = 0.5 * math.log1p(b2 * (1.0 - 1.0 / (p - k + 1)))

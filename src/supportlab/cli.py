@@ -374,19 +374,15 @@ def cmd_conditions(args) -> int:
     if args.regime:
         p_grid = (_parsed(args, "p_grid", parse_int_list) if args.p_grid
                   else [2**e for e in range(6, 13)])
-        rows = []
-        ok_rows = 0
         try:
             table = bounds.regime_table(args.regime, p_grid, C=args.C, variant=args.variant)
-            for row in table:
-                rows.append([args.regime, row.p, row.k, row.beta_min_sq, row.sufficient_n,
-                             row.necessary_n, row.predictor, row.sufficient_ratio,
-                             row.necessary_ratio, ""])
-                ok_rows += 1
+            rows = [[args.regime, row.p, row.k, row.beta_min_sq, row.sufficient_n,
+                     row.necessary_n, row.predictor, row.sufficient_ratio,
+                     row.necessary_ratio, ""] for row in table]
         except SupportLabError as exc:
-            rows.append([args.regime, "", "", "", "", "", "", "", "", str(exc)])
+            rows = [[args.regime, "", "", "", "", "", "", "", "", str(exc)]]
         _emit_table(args, REGIME_CSV_HEADER, rows)
-        return 0 if ok_rows else 2
+        return 0 if rows[0][-1] == "" else 2
     if not args.point:
         raise SupportLabError("conditions needs --point p:k:beta_min_sq (repeatable) or --regime")
     rows = _conditions_grid_rows(args)
@@ -466,17 +462,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     results = run_all(seed=args.seed, fault_c_sign=args.inject_fault)
-    failures = 0
     for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        if not res.passed:
-            failures += 1
-        line = f"{status} {res.name}"
-        if args.verbose or not res.passed:
-            line += f": {res.detail}"
-        print(line)
-    print(f"{len(results) - failures}/{len(results)} checks passed")
-    return 1 if failures else 0
+        detail = f": {res.detail}" if args.verbose or not res.passed else ""
+        print(f"{'PASS' if res.passed else 'FAIL'} {res.name}{detail}")
+    passed = sum(res.passed for res in results)
+    print(f"{passed}/{len(results)} checks passed")
+    return 0 if passed == len(results) else 1
 
 
 # ------------------------------------------------------------------- parser

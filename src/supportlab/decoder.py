@@ -99,8 +99,6 @@ def decode_exhaustive(
     if not math.isfinite(gram.yty):
         raise ValidationError("observation energy y.y overflows double precision",
                               params=("observation",))
-    if not np.isfinite(gram.norm_sq).all():
-        raise ValidationError("design column energy overflows double precision")
     best_combo = None
     best = math.inf
     runner_up = math.inf

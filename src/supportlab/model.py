@@ -225,12 +225,17 @@ def column_space_basis(sub: np.ndarray) -> np.ndarray:
     (..., n, min(n, m)): each matrix's basis, followed by zero columns up to
     the common width.  Projection energies ``||basis.T @ y||^2`` are the same
     either way, because the zero columns add exact zeros.
+
+    A column whose norm overflows double precision raises ``ValidationError``.
     """
     subs = sub if sub.ndim > 2 else sub[None]
     n, m = subs.shape[-2:]
     if n == 0 or m == 0:
         return np.zeros((*sub.shape[:-1], 0))
-    scale = np.max(np.linalg.norm(subs, axis=-2), axis=-1)
+    with np.errstate(over="ignore"):  # an overflowed norm is named below
+        scale = np.max(np.linalg.norm(subs, axis=-2), axis=-1)
+    if scale.max() == math.inf:
+        raise ValidationError("design column energy overflows double precision")
     u, s, _ = np.linalg.svd(subs, full_matrices=False)
     # s is sorted in decreasing order, so the mask keeps a prefix; a zero
     # matrix (scale 0, every s exactly 0) keeps nothing.

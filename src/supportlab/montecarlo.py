@@ -139,6 +139,12 @@ class ExperimentSpec:
         if self.beta_values is not None and 0.0 in self.beta_values:
             raise ValidationError("signal values must be exactly nonzero on the support",
                                   params=("beta_values",))
+        # Only the union bound, attached to recovery with p > k, squares beta;
+        # test |beta| < 1 first, as squaring a |beta| above ~1e154 raises.
+        smallest = self.beta_min if self.beta_values is None else min(map(abs, self.beta_values))
+        if self.target == TARGET_RECOVERY and self.p > self.k and smallest < 1 and smallest**2 == 0:
+            field = "beta_min" if self.beta_values is None else "beta_values"
+            raise ValidationError(f"{field} too small: beta_min^2 underflows to 0", params=(field,))
 
     def _check_pattern(self, field: str) -> None:
         """The indices in ``field`` form a pattern in [0, p); a failure is
@@ -283,8 +289,6 @@ def pairwise_trial_outcomes(spec: ExperimentSpec) -> np.ndarray:
         for start, stop in _blocks(spec.trials, spec.n * spec.p if fresh else spec.n):
             if fresh:
                 designs = _normal_block(spec, rng.KIND_DESIGN, start, stop, (spec.n, spec.p))
-                if not np.isfinite(designs).all():  # DesignMatrix's check, once per block
-                    raise ValidationError("design entries must be finite")
                 xt = designs[:, :, list(t_patt.indices)]
                 qt, qf = column_space_basis(np.stack([xt, designs[:, :, list(f_patt.indices)]]))
             y = xt @ values + _noise_block(spec, start, stop)

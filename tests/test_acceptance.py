@@ -115,14 +115,14 @@ def test_c01_chernoff_constants():
 
 def test_c02_eigen_pair_structure():
     t0 = time.perf_counter()
-    res = check_eigen_pairs(SEED, instances=100)
+    res = check_eigen_pairs(SEED)
     elapsed = time.perf_counter() - t0
     report(2, "eigen-pair-structure", res.passed and elapsed < 10.0,
            f"{res.detail}, {elapsed:.2f}s")
 
 
 def test_c03_quadratic_identities():
-    res = check_quadratic_identities(SEED, instances=100)
+    res = check_quadratic_identities(SEED)
     report(3, "quadratic-identities", res.passed, res.detail)
 
 
@@ -137,7 +137,7 @@ def test_c04_exact_mgf_vs_sampling():
 
 
 def test_c05_chain_ordering():
-    res = check_chain_ordering(SEED, instances=100, t_points=25)
+    res = check_chain_ordering(SEED)
     report(5, "chain-ordering", res.passed, res.detail)
 
 
@@ -166,7 +166,7 @@ def test_c07_averaged_bound_domination():
     )
     result = run_pairwise(spec)
     dominated = result.wilson_low <= result.bound_value
-    mgf = check_chi_square_mgf(dof=11)
+    mgf = check_chi_square_mgf()
     exact, sampled, rel = sampled_chi_square_mgf(SEED, samples=1_000_000, dof=11)
     report(7, "averaged-bound-domination", dominated and mgf.passed and rel < 0.01,
            f"low={result.wilson_low:.4f} bound={result.bound_value:.4f}; {mgf.detail}; "
@@ -234,7 +234,7 @@ def test_c09_convexity_and_boundary_max():
 
 
 def test_c10_f_curve_finite_differences():
-    res = check_f_curve_derivatives(SEED, points=100)
+    res = check_f_curve_derivatives(SEED)
     report(10, "f-curve-derivatives", res.passed, res.detail)
 
 

@@ -539,6 +539,47 @@ def test_f_curve_k1_reduces_to_single_endpoint():
 def test_f_curve_domain_error():
     with pytest.raises(DomainError):
         f_curve(0.0, 30, 10, 2, 1.0)
+    for ds in ([1.0, 0.0], [[2.0], [-1.0]], [1.0, math.nan]):
+        with pytest.raises(DomainError, match="deficit must be positive"):
+            f_curve(np.array(ds), 30, 10, 2, 1.0)
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 3)])
+def test_f_curve_array_d_equals_scalar_calls(shape):
+    gen = rng.stream(SEED, 15)
+    for _ in range(20):
+        k = int(gen.integers(1, 33))
+        p = int(gen.integers(2 * k + 1, 6 * k + 40))
+        b2 = float(np.exp(gen.uniform(math.log(0.1), math.log(10.0))))
+        n = k + int(gen.integers(8, 2000))
+        ds = gen.uniform(0.5, k + 1.0, size=shape)
+        for column, curve in enumerate(f_curve(ds, n, p, k, b2)):
+            assert isinstance(curve, np.ndarray) and curve.shape == shape
+            for d, value in zip(ds.ravel(), curve.ravel()):
+                scalar = f_curve(float(d), n, p, k, b2)[column]
+                assert type(scalar) is float
+                assert value == scalar
+
+
+def test_chain_bound_array_t_equals_scalar_calls():
+    gen = rng.stream(SEED, 16)
+    ts = np.concatenate([np.linspace(-0.49, 0.49, 25), [CHERNOFF_T_STAR, -CHERNOFF_C]])
+    for _ in range(20):
+        g, d = float(gen.uniform(0.0, 50.0)), int(gen.integers(0, 5))
+        got = chain_log_bound(g, d, ts)
+        assert isinstance(got, np.ndarray) and got.shape == ts.shape
+        for t, value in zip(ts, got):
+            scalar = chain_log_bound(g, d, float(t))
+            assert type(scalar) is float
+            assert value == scalar
+    assert chain_log_bound(1.0, 1, ts.reshape(3, 9)).shape == (3, 9)
+
+
+@pytest.mark.parametrize("t", [0.5, -0.5, math.nan, np.array([0.1, 0.5]),
+                               np.array([[0.0], [math.nan]])])
+def test_chain_bound_domain_error(t):
+    with pytest.raises(DomainError, match=r"chain bound requires \|t\| < 1/2"):
+        chain_log_bound(1.0, 1, t)
 
 
 def test_boundary_max_under_curvature_condition():
@@ -617,6 +658,24 @@ def test_necessary_sample_size_domain_errors():
         necessary_sample_size(5, 5, 1.0)
     with pytest.raises(DomainError):
         necessary_sample_size(10, 2, 0.0)
+
+
+@pytest.mark.parametrize("bound, args, name", [
+    (union_error_bound_sum, (10**320, 100, 2, 1.0), "n"),
+    (union_error_bound_sum, (100, 10**320, 2, 1.0), "p"),
+    (union_error_bound_closed_form, (10**320, 100, 2, 1.0, 9.0), "n"),
+    (union_error_bound_closed_form, (1000, 10**320, 2, 1.0, 9.0), "p"),
+    (averaged_pairwise_bound, (10**320, 2, 1, 1.0), "n"),
+    (sufficient_sample_size, (10**320, 2, 1.0, 9.0), "p"),
+    (necessary_sample_size, (10**320, 2, 1.0), "p"),
+], ids=["union-sum-n", "union-sum-p", "union-closed-n", "union-closed-p", "averaged-n",
+        "sufficient-p", "necessary-p"])
+def test_integers_beyond_double_range_are_validation_errors(bound, args, name):
+    # float() of such an integer raises OverflowError; the bound names it instead.
+    message = f"^{name} is too large for double precision$"
+    with pytest.raises(ValidationError, match=message) as info:
+        bound(*args)
+    assert info.value.params == (name,)
 
 
 def test_sample_size_thresholds_that_overflow_are_validation_errors():

@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from supportlab import bounds
 from supportlab import cli
+from supportlab import montecarlo
 from supportlab.cli import load_instance, main, save_instance
 from supportlab.model import (
     DesignMatrix,
@@ -227,6 +228,59 @@ def test_conditions_regime_error_row_exits_2(args, error, tmp_path):
     out = tmp_path / "r.csv"
     assert run(["conditions"] + args + ["--out", str(out)]) == 2
     assert out.read_text().splitlines()[1:] == [f"linear_unit,,,,,,,,,{error}"]
+
+
+BIG = str(10**320)  # an integer beyond double range
+
+
+@pytest.mark.parametrize("command, name", [
+    (["bound", "union-sum", "--n", BIG, "--p", "100", "--k", "2", "--beta-min-sq", "1"], "n"),
+    (["bound", "union-sum", "--n", "100", "--p", BIG, "--k", "2", "--beta-min-sq", "1"], "p"),
+    (["bound", "averaged", "--n", BIG, "--k", "2", "--d", "1", "--miss-energy", "1"], "n"),
+    (["bound", "union-closed", "--n", BIG, "--p", "100", "--k", "2", "--beta-min-sq", "1"], "n"),
+], ids=["union-sum-n", "union-sum-p", "averaged-n", "union-closed-n"])
+def test_integers_beyond_double_range_are_usage_errors(command, name, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert run(command + ["--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {name} is too large for double precision\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, point, error", [
+    (["--point", f"{BIG}:2:1"], (BIG, "2"), "p is too large for double precision"),
+    (["--point", "100:2:1", "--C", "0"], ("100", "2"), "C must be positive, got 0.0"),
+], ids=["huge-p", "C-zero"])
+def test_conditions_point_that_fails_a_check_reports_row_error(args, point, error, tmp_path):
+    out = tmp_path / "c.csv"
+    assert run(["conditions"] + args + ["--out", str(out)]) == 2
+    [row] = csv.DictReader(out.read_text().splitlines())
+    assert ((row["p"], row["k"]), row["error"]) == (point, error)
+
+
+def test_conditions_regime_grid_below_2k_reports_row_error(tmp_path):
+    out = tmp_path / "r.csv"
+    assert run(["conditions", "--regime", "linear_unit", "--p-grid", "2,64",
+                "--out", str(out)]) == 2
+    [row] = csv.DictReader(out.read_text().splitlines())
+    assert (row["regime"], row["p"], row["error"]) == (
+        "linear_unit", "", "regime linear_unit needs p > 2k, got p=2, k=1")
+
+
+def test_mc_recover_beta_whose_square_underflows_fails_before_any_trial(monkeypatch, tmp_path,
+                                                                       capsys):
+    def decode(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(montecarlo, "decode_exhaustive", decode)
+    out = tmp_path / "r.csv"
+    assert run(["mc", "recover", "--beta-min", "1e-200", "--trials", "500",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: beta_min too small: beta_min^2 underflows to 0\n"
+    assert not out.exists()
+    assert run(["sweep", "--target", "recovery", "--beta", "1,1e-170", "--trials", "5",
+                "--vary", "n", "--values", "8", "--out", str(out)]) == 0
+    [row] = csv.DictReader(out.read_text().splitlines())
+    assert (row["errors"], row["error"]) == ("", "beta_values too small: beta_min^2 underflows to 0")
 
 
 def test_conditions_point_whose_threshold_overflows_reports_row_error(tmp_path):
@@ -581,10 +635,26 @@ def test_cross_flag_check_names_the_config_only_for_its_own_value(key, value, fl
      "--wrong has 3 indices, need k=2"),
     (["sweep"], ["--wrong", "2,3", "--trials", "5", "--values", "8"], {"vary": "q"},
      "--vary must be one of n,p,k,trials,beta_min, got 'q'"),
+    (["mc", "pairwise"], ["--wrong", "3,4"], {"trials": 0}, "need trials >= 1, got 0"),
+    (["mc", "recover"], ["--trials", "5"], {"level": 1},
+     "confidence level must be in (0,1), got 1.0"),
+    (["mc", "recover"], ["--trials", "5"], {"beta": "1,2,3"},
+     "explicit beta has 3 entries, need k=2"),
+    (["mc", "recover"], ["--trials", "5"], {"beta_min": 0}, "beta_min must be positive, got 0.0"),
+    (["mc", "recover"], ["--trials", "5"], {"p": 2, "k": 3}, "need p >= k >= 1, got p=2, k=3"),
+    (["mc", "recover"], ["--trials", "5"], {"beta": "1,abc"}, "expected a number, got 'abc'"),
+    (["mc", "recover"], ["--trials", "500"], {"beta_min": 1e-200},
+     "beta_min too small: beta_min^2 underflows to 0"),
+    (["bound", "union-closed"], ["--n", "400", "--p", "100", "--k", "1", "--beta-min-sq", "1"],
+     {"C": 0}, "C must be positive, got 0.0"),
+    (["bound", "union-sum"], ["--p", "100", "--k", "2", "--beta-min-sq", "1"], {"n": 10**320},
+     "n is too large for double precision"),
 ], ids=["recover-n-k", "recover-support", "pairwise-wrong", "union-sum-n-k", "union-closed-k",
         "recover-support-range", "pairwise-wrong-range", "bound-pairwise-wrong-range",
         "decode-beta-zero", "recover-beta-zero", "mgf-t", "decode-cap", "recover-cap",
-        "bound-pairwise-wrong-size", "mgf-wrong-size", "sweep-vary"])
+        "bound-pairwise-wrong-size", "mgf-wrong-size", "sweep-vary", "pairwise-trials",
+        "recover-level", "recover-beta-size", "recover-beta-min", "recover-p-k",
+        "recover-beta-number", "recover-beta-underflow", "union-closed-C", "union-sum-huge-n"])
 def test_failed_check_names_the_config_when_a_value_it_compares_came_from_it(
         words, base, params, message, tmp_path, capsys):
     # The message need not start with a flag: the config is named when any

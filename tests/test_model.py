@@ -1,12 +1,13 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supportlab import decoder, rng
+from supportlab import bounds, decoder, rng
 from supportlab.errors import ValidationError
 from supportlab.model import (
     DesignMatrix,
@@ -380,6 +381,34 @@ def test_stacked_column_space_basis_equals_each_2d_call(n, m):
     # Leading dimensions are kept: a (2, 12, n, m) stack gives the same bases.
     assert np.array_equal(column_space_basis(stack.reshape(2, 12, n, m)),
                           bases.reshape(2, 12, n, min(n, m)))
+
+
+@pytest.mark.parametrize("entry", [
+    "column_space_basis", "build_projector", "score_support", "projection_energy",
+    "pairwise_conditional_bound", "exact_quadratic_log_mgf",
+])
+def test_every_rank_kernel_caller_names_an_overflowed_column_norm(entry):
+    # Column norms overflow above ~1e154.  The rank cutoff, scaled by the
+    # largest of them, would be inf and the basis empty: a zero projector.
+    design = DesignMatrix(entries=gaussian_design(10, 4, seed=SEED).entries * 1e200)
+    t_patt, f_patt = make_pattern([0, 1], 4), make_pattern([1, 2], 4)
+    signal = flat_signal(t_patt, 1.0)
+    instance = ProblemInstance(design=design, signal=signal, observation=np.ones(10))
+    calls = {
+        "column_space_basis": lambda: column_space_basis(design.entries[:, :2]),
+        "build_projector": lambda: build_projector(design, t_patt),
+        "score_support": lambda: decoder.score_support(instance, f_patt),
+        "projection_energy": lambda: bounds.projection_energy(design, signal, t_patt, f_patt),
+        "pairwise_conditional_bound":
+            lambda: bounds.pairwise_conditional_bound(design, signal, t_patt, f_patt),
+        "exact_quadratic_log_mgf":
+            lambda: bounds.exact_quadratic_log_mgf(design, signal, t_patt, f_patt, 0.1),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        with pytest.raises(ValidationError,
+                           match="design column energy overflows double precision"):
+            calls[entry]()
 
 
 def test_column_space_basis_of_empty_matrices():

@@ -372,6 +372,34 @@ def test_recovery_passes_the_candidate_cap_to_every_decode(monkeypatch):
     assert caps == [6_000_000] * 2
 
 
+@pytest.mark.parametrize("spec, field", [
+    (recovery_spec(beta_min=1e-200), "beta_min"),
+    (recovery_spec(beta_values=(1.0, -1e-170)), "beta_values"),
+], ids=["beta-min", "beta-values"])
+def test_beta_whose_square_underflows_is_rejected_before_any_trial(monkeypatch, spec, field):
+    # The union bound would reject beta_min^2 = 0.0, a value never given,
+    # only after every trial had run.
+    def decode(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(montecarlo, "decode_exhaustive", decode)
+    message = f"^{field} too small: beta_min\\^2 underflows to 0$"
+    with pytest.raises(ValidationError, match=message) as info:
+        run_full_recovery(spec)
+    assert info.value.params == (field,)
+    [row] = sweep([spec])
+    assert row.result is None and row.error == f"{field} too small: beta_min^2 underflows to 0"
+
+
+@pytest.mark.parametrize("spec", [
+    recovery_spec(n=2, p=3, k=3, beta_min=1e-200, trials=5),  # p == k: no union bound
+    pairwise_spec(beta_min=1e-200, trials=50),
+    recovery_spec(beta_min=1e-160, trials=5),  # 1e-320 is subnormal, not 0
+])
+def test_tiny_beta_is_allowed_where_its_square_is_not_needed_or_not_zero(spec):
+    spec.validate()
+
+
 def test_recovery_rejects_fixed_design():
     with pytest.raises(ValidationError):
         recovery_spec(design_mode="fixed").validate()

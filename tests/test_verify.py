@@ -1,3 +1,4 @@
+import inspect
 import math
 import threading
 import tracemalloc
@@ -16,7 +17,7 @@ def _worst(result) -> float:
 def test_f_curve_check_passes_where_the_three_point_reference_failed():
     # At seed 116 a point has f' ~ 4e-4 beside |f| ~ 37; the former h=1e-5
     # central difference there carried a 1.4e-6 rounding error.
-    res = verify.check_f_curve_derivatives(116, points=100)
+    res = verify.check_f_curve_derivatives(116)
     assert res.passed, res.detail
     assert _worst(res) < 1e-7
 
@@ -32,7 +33,7 @@ def test_f_curve_check_fails_with_the_published_constant(monkeypatch):
 
     monkeypatch.setattr(verify, "f_curve", published)
     for seed in (verify.DEFAULT_VERIFY_SEED, 116):
-        res = verify.check_f_curve_derivatives(seed, points=100)
+        res = verify.check_f_curve_derivatives(seed)
         assert not res.passed
         assert _worst(res) >= 1.5
 
@@ -112,6 +113,24 @@ def test_all_nine_checks_pass_at_other_seeds(seed):
     results = verify.run_all(seed)
     assert [r.name for r in results] == [name for _, name in PUBLISHED]
     assert all(r.passed for r in results), [r for r in results if not r.passed]
+
+
+def test_checks_take_no_size_argument_and_report_python_bools():
+    for attr, _ in PUBLISHED:
+        assert list(inspect.signature(getattr(verify, attr)).parameters) in (
+            [], ["seed"], ["c_override"]), attr
+    for fault in (False, True):
+        results = verify.run_all(fault_c_sign=fault)
+        assert [type(r.passed) for r in results] == [bool] * len(PUBLISHED)
+
+
+def test_curvature_check_fails_at_a_point_outside_its_premise(monkeypatch):
+    # Every point is drawn inside the curvature condition; should one fall
+    # outside, the check fails there rather than skipping it.
+    monkeypatch.setattr(verify, "curvature_condition", lambda n, k, b2: False)
+    res = verify.check_curvature_boundary_max()
+    assert not res.passed
+    assert res.detail.startswith("curvature condition fails at n=")
 
 
 def test_exact_mgf_check_fails_when_the_exact_value_is_off_by_1e_8(monkeypatch):
