@@ -96,6 +96,71 @@ def _check_support_pair(design, signal, t_pattern, f_pattern):
         )
 
 
+def pair_spectra(
+    xt: np.ndarray, xf: np.ndarray, mu: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The spectrum of Psi = Pi_F - Pi_T for one pair (T, F) or a stack of them.
+
+    ``xt`` and ``xf`` are X_T and X_F, shaped (..., n, k), and ``mu`` is the
+    mean X_T beta_T, shaped (..., n).  Psi lives in the span of [X_T, X_F],
+    so it is compressed to the r x r matrix Q^T Psi Q on an orthonormal basis
+    Q of that span, at O(n k^2) cost per pair.  Returns its eigenvalues lam
+    and the squared coordinates w^2 of Q^T mu on its eigenvectors, both
+    shaped (..., r): r is the rank of [X_T, X_F] for one pair (2-d ``xt``),
+    and min(n, 2k) for a stack, whose bases are padded with zero columns.
+    The eigenvalues Psi has outside the span are 0 and add nothing to any
+    sum over the spectrum.
+
+    One stacked ``column_space_basis`` call gives Q_T and Q_F, one more gives
+    Q from [Q_T, Q_F], and one batched ``eigh`` the r x r spectra.  A
+    rank-deficient member gets zero basis columns and so eigenvalues that are
+    exactly 0, and so do pairs zero-padded to a common n and k (zero rows and
+    columns in X_T and X_F, zero entries in mu): the padding's terms in the
+    log-MGF are exactly 0, though the sums over the longer spectrum may round
+    differently in the last bit.  An overflowed w^2 is returned as inf or
+    NaN, for the caller to name.
+    """
+    qt, qf = column_space_basis(np.stack([xt, xf]))
+    q = column_space_basis(np.concatenate([qt, qf], axis=-1))
+    qh = np.swapaxes(q, -1, -2)
+    at, af = qh @ qt, qh @ qf
+    lam, vecs = np.linalg.eigh(af @ np.swapaxes(af, -1, -2) - at @ np.swapaxes(at, -1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.swapaxes(vecs, -1, -2) @ (qh @ mu[..., None])
+        return lam, w[..., 0] ** 2
+
+
+def spectral_log_mgf(
+    lam: np.ndarray, w_sq: np.ndarray, t: float | np.ndarray
+) -> float | np.ndarray:
+    """log E[exp(t Z)] from a spectrum of ``pair_spectra``:
+
+    sum_i [2t^2 lam_i^2 w_i^2 / (1 - 2t lam_i)] + t sum_i lam_i w_i^2
+    - (1/2) sum_i log(1 - 2t lam_i),
+
+    the sums running over the last axis of ``lam`` and ``w_sq``.  ``t`` is a
+    scalar or a 1-d array; the result has the spectra's leading shape
+    followed by ``t``'s shape (a float for one spectrum and a scalar t).
+    """
+    ts = np.asarray(t, dtype=float)
+    lead = lam.shape[:-1]
+    shape = lead + (1,) * ts.ndim + lam.shape[-1:]
+    lam_t, w_t = lam.reshape(shape), w_sq.reshape(shape)
+    denom = 1.0 - 2.0 * (ts[..., None] * lam_t)
+    singular = np.any(denom <= 0.0, axis=-1)
+    if np.any(singular):
+        bad = np.broadcast_to(ts, singular.shape)[singular][0]
+        raise DomainError(f"I - 2t*Psi not positive definite at t={bad}", params=("t",))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        quad = 2.0 * ts * ts * np.sum(lam_t**2 * w_t / denom, axis=-1)
+        linear = ts * np.sum(lam * w_sq, axis=-1).reshape(lead + (1,) * ts.ndim)
+        logdet = np.sum(np.log(denom), axis=-1)
+        out = quad + linear - 0.5 * logdet
+    if not np.isfinite(out).all():
+        raise ValidationError("log-MGF overflows double precision")
+    return float(out) if out.ndim == 0 else out
+
+
 def exact_quadratic_log_mgf(
     design: DesignMatrix,
     signal: SparseSignal,
@@ -106,12 +171,11 @@ def exact_quadratic_log_mgf(
     """Exact log E[exp(t Z)] for Z = y^T Psi y, y ~ N(X_T beta_T, I).
 
     Equal to 2t^2 mu^T Psi (I-2tPsi)^{-1} Psi mu + t mu^T Psi mu
-    - (1/2) log det(I - 2tPsi).  Psi = Pi_F - Pi_T lives in the span of
-    [X_T, X_F], so it is compressed to the r x r matrix Q^T Psi Q on an
-    orthonormal basis Q of that span (r <= 2k) and only that matrix is
-    eigendecomposed, at O(n k^2) cost; the eigenvalues Psi has outside the
-    span are 0 and add nothing.  All eigenvalues lie in [-1, 1], so
-    I - 2tPsi is positive definite for |t| < 1/2.
+    - (1/2) log det(I - 2tPsi), evaluated by ``spectral_log_mgf`` on the
+    pair's compressed spectrum from ``pair_spectra``: a one-pair call of the
+    kernel that also takes stacks of pairs zero-padded to a common n and k.
+    All eigenvalues lie in [-1, 1], so I - 2tPsi is positive definite for
+    |t| < 1/2.
 
     ``t`` is a scalar (returns a float) or a 1-d array (returns an array of
     the same length, every entry equal to the scalar call at that t): one
@@ -125,26 +189,11 @@ def exact_quadratic_log_mgf(
     _check_support_pair(design, signal, t_pattern, f_pattern)
     if f_pattern.indices == t_pattern.indices:
         return 0.0 if ts.ndim == 0 else np.zeros(ts.shape)
-    qt = build_projector(design, t_pattern)
-    qf = build_projector(design, f_pattern)
-    q = column_space_basis(np.hstack([qt, qf]))
-    at, af = q.T @ qt, q.T @ qf
-    lam, vecs = np.linalg.eigh(af @ af.T - at @ at.T)
-    denom = 1.0 - 2.0 * np.multiply.outer(ts, lam)
-    singular = np.any(denom <= 0.0, axis=-1)
-    if np.any(singular):
-        bad = t if ts.ndim == 0 else ts[singular][0]
-        raise DomainError(f"I - 2t*Psi not positive definite at t={bad}", params=("t",))
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
-        mu = design.submatrix(t_pattern) @ signal.values
-        w_sq = (vecs.T @ (q.T @ mu)) ** 2
-        quad = 2.0 * ts * ts * np.sum(lam**2 * w_sq / denom, axis=-1)
-        linear = ts * np.sum(lam * w_sq)
-        logdet = np.sum(np.log(denom), axis=-1)
-        out = quad + linear - 0.5 * logdet
-    if not np.isfinite(out).all():
-        raise ValidationError("log-MGF overflows double precision")
-    return float(out) if ts.ndim == 0 else out
+    xt = design.submatrix(t_pattern)
+    with np.errstate(over="ignore", invalid="ignore"):  # named by spectral_log_mgf
+        mu = xt @ signal.values
+    lam, w_sq = pair_spectra(xt, design.submatrix(f_pattern), mu)
+    return spectral_log_mgf(lam, w_sq, t)
 
 
 def chain_log_bound(g: float, d: int, t: float | np.ndarray) -> float | np.ndarray:
@@ -245,11 +294,51 @@ def _check_double_range(**values: int) -> None:
             raise ValidationError(f"{name} is too large for double precision", params=(name,))
 
 
+# From a = 2^66, lgamma(a + 1) > a (log a - 1) exceeds 64 a log 2, which is 64
+# times the largest log C(a, b), so the lgamma route is not tried there (lgamma
+# itself overflows past ~1e305).
+_LGAMMA_MAX_A = 2**66
+# Four terms of Stirling's series are within 1.2e-14 of log Gamma(x + 1) from
+# x = 16, where log C(a, b) >= log C(32, 16) = 20.2.
+_STIRLING_MIN_B = 16
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
 def _log_comb(a: int, b: int) -> float:
-    """log C(a, b); -inf (an empty count) when b lies outside [0, a]."""
+    """log C(a, b); -inf (an empty count) when b lies outside [0, a].
+
+    The lgamma difference is kept while lgamma(a + 1), whose rounding it
+    inherits, is at most 64 times the result (a relative error below ~5e-14);
+    that covers every small a, and large b at moderate a.  Past that the
+    difference would cancel away the answer (at a ~ 1e17 it loses every
+    digit), so the result is formed from terms that are all of its own size:
+    a sum of log((a - i)/(b - i)) for small b, else Stirling's series.  The
+    symmetry C(a, b) = C(a, a - b) keeps b <= a/2 on those routes.
+    """
     if b < 0 or b > a:
         return -math.inf
-    return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
+    if a < _LGAMMA_MAX_A:
+        big = math.lgamma(a + 1)
+        out = big - math.lgamma(b + 1) - math.lgamma(a - b + 1)
+        if big <= 64.0 * out:
+            return out
+    b = min(b, a - b)
+    if b < _STIRLING_MIN_B:
+        return math.fsum(math.log((a - i) / (b - i)) for i in range(b))
+    c = a - b
+    log_ratio = math.log(a / b)
+    return (b * log_ratio - c * math.log1p(-b / a)
+            + 0.5 * (log_ratio - math.log(c) - _LOG_2PI)
+            + _stirling_tail(a) - _stirling_tail(b) - _stirling_tail(c))
+
+
+def _stirling_tail(x: int) -> float:
+    """log Gamma(x + 1) - [(x + 1/2) log x - x + log(2 pi)/2], by the series
+    1/(12x) - 1/(360x^3) + 1/(1260x^5) - 1/(1680x^7), whose first omitted
+    term, 1/(1188x^9), bounds the error."""
+    r = 1.0 / x
+    r2 = r * r
+    return r * (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 * (1.0 / 1260.0 - r2 / 1680.0)))
 
 
 def _log_sum_exp(terms: Sequence[float]) -> float:

@@ -241,7 +241,8 @@ def column_space_basis(sub: np.ndarray) -> np.ndarray:
     # matrix (scale 0, every s exactly 0) keeps nothing.
     kept = s > DEFAULT_RANK_TOLERANCE * scale[..., None]
     if sub.ndim > 2:
-        return u * kept[..., None, :]
+        u *= kept[..., None, :]
+        return u
     return u[0, :, : int(np.sum(kept))]
 
 

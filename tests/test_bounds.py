@@ -20,13 +20,16 @@ from supportlab.bounds import (
     exact_quadratic_log_mgf,
     f_curve,
     necessary_sample_size,
+    pair_spectra,
     pairwise_conditional_bound,
     projection_energy,
     regime_table,
+    spectral_log_mgf,
     sufficient_sample_size,
     union_error_bound_closed_form,
     union_error_bound_sum,
 )
+from supportlab.bounds import _log_comb
 from supportlab.errors import DomainError, PreconditionError, ValidationError
 from supportlab.model import (
     DesignMatrix,
@@ -212,6 +215,80 @@ def test_exact_mgf_array_t_equals_scalar_calls():
             scalar = exact_quadratic_log_mgf(design, signal, t_patt, f_patt, float(t))
             assert isinstance(scalar, float)
             assert value == scalar
+
+
+def _equal_column_spaces(gen):
+    """(design, signal, T, F) with col(X_F) = col(X_T): F shares one column
+    with T and spans the rest from T's columns, so Psi = 0."""
+    k = int(gen.integers(2, 5))
+    p = 2 * k
+    n = int(gen.integers(2 * k + 2, 40))
+    x = gen.standard_normal((n, p))
+    x[:, k:2 * k - 1] = x[:, :k] @ gen.standard_normal((k, k - 1))
+    t_patt = make_pattern(range(k), p)
+    f_patt = make_pattern([k - 1, *range(k, 2 * k - 1)], p)
+    values = gen.uniform(0.5, 2.5, size=k)
+    return DesignMatrix(entries=x), SparseSignal(pattern=t_patt, values=values), t_patt, f_patt
+
+
+def _zero_padded(pairs):
+    """X_T, X_F and mu of each pair, zero-padded to the largest n and k and stacked."""
+    n = max(design.n for design, *_ in pairs)
+    k = max(len(t_patt) for _, _, t_patt, _ in pairs)
+    xt, xf = np.zeros((2, len(pairs), n, k))
+    mu = np.zeros((len(pairs), n))
+    for i, (design, signal, t_patt, f_patt) in enumerate(pairs):
+        rows, cols = design.n, len(t_patt)
+        xt[i, :rows, :cols] = design.submatrix(t_patt)
+        xf[i, :rows, :cols] = design.submatrix(f_patt)
+        mu[i, :rows] = design.submatrix(t_patt) @ signal.values
+    return xt, xf, mu
+
+
+def test_padded_pair_stack_equals_one_pair_calls():
+    # Mixed n (up to 300) and k (1 to 4) in one stack: plain pairs, pairs with
+    # duplicated, zero or collinear columns (T and F always overlap there),
+    # and pairs with col(X_F) = col(X_T).
+    gen = rng.stream(SEED, 12)
+    pairs = []
+    for i in range(60):
+        make = (lambda g: random_pair(g, n_max=60, k_max=4), degenerate_pair,
+                _equal_column_spaces)[i % 3]
+        pairs.append(make(gen))
+    lam, w_sq = pair_spectra(*_zero_padded(pairs))
+    assert lam.shape == w_sq.shape == (60, 8)
+    stacked = spectral_log_mgf(lam, w_sq, MGF_TS)
+    assert stacked.shape == (60, len(MGF_TS))
+    for pair, spectrum, row in zip(pairs, lam, stacked):
+        one = exact_quadratic_log_mgf(*pair, MGF_TS)
+        assert np.all(np.abs(row - one) <= 1e-13 * np.maximum(np.abs(one), 1.0)), pair[2:]
+        # The padding's eigenvalues are exact zeros, beside the pair's own r.
+        design, signal, t_patt, f_patt = pair
+        xt = design.submatrix(t_patt)
+        own, _ = pair_spectra(xt, design.submatrix(f_patt), xt @ signal.values)
+        assert np.sum(spectrum == 0.0) >= lam.shape[-1] - len(own)
+
+
+def test_pair_spectra_of_equal_column_spaces_is_zero():
+    gen = rng.stream(SEED, 13)
+    for _ in range(10):
+        design, signal, t_patt, f_patt = _equal_column_spaces(gen)
+        xt = design.submatrix(t_patt)
+        lam, _ = pair_spectra(xt, design.submatrix(f_patt), xt @ signal.values)
+        assert np.max(np.abs(lam)) < 1e-12
+        assert abs(exact_quadratic_log_mgf(design, signal, t_patt, f_patt, 0.3)) < 1e-12
+
+
+def test_spectral_log_mgf_shapes():
+    lam = np.array([[-0.5, 0.0, 0.5], [0.2, -0.2, 0.0]])
+    w_sq = np.array([[1.0, 2.0, 3.0], [0.5, 0.0, 4.0]])
+    closed = np.sum(2 * 0.1**2 * lam**2 * w_sq / (1 - 0.2 * lam) + 0.1 * lam * w_sq
+                    - 0.5 * np.log(1 - 0.2 * lam), axis=-1)
+    assert np.allclose(spectral_log_mgf(lam, w_sq, 0.1), closed, rtol=1e-15, atol=0)
+    assert spectral_log_mgf(lam, w_sq, np.array([0.1, -0.3])).shape == (2, 2)
+    assert isinstance(spectral_log_mgf(lam[0], w_sq[0], 0.1), float)
+    assert spectral_log_mgf(lam[0], w_sq[0], np.array([0.1]))[0] == spectral_log_mgf(
+        lam[0], w_sq[0], 0.1)
 
 
 def test_eigen_pairs_and_identities_via_dense_solver():
@@ -413,6 +490,60 @@ def test_union_sum_validation():
         union_error_bound_sum(2, 5, 2, 1.0)
     with pytest.raises(ValidationError):
         union_error_bound_sum(10, 5, 2, 0.0)
+
+
+# ------------------------------------------------------------- log C(a, b)
+
+
+def _mp_log_comb(a: int, b: int) -> float:
+    """log C(a, b) by mpmath, at 25 digits beyond the size of lgamma(a + 1),
+    so that the difference of log-gammas keeps about 25 of them."""
+    import mpmath  # imported here: without mpmath these tests fail, not skip
+
+    digits = 25 + max(1, math.ceil(math.log10(math.lgamma(a + 1) + 1.0)))
+    with mpmath.workdps(digits):
+        a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
+        return float(mpmath.loggamma(a_ + 1) - mpmath.loggamma(b_ + 1)
+                     - mpmath.loggamma(a_ - b_ + 1))
+
+
+def _comb_grid():
+    """Every (a, b) with a <= 40, then log-spaced a up to 1e300 (four per
+    decade) with small b, b around the route switch at 16, b ~ sqrt(a), and
+    b near a/4, a/2 and a."""
+    yield from ((a, b) for a in range(1, 41) for b in range(a + 1))
+    for e in range(6, 1201):
+        a = int(10 ** (e / 4)) if e < 60 else 10 ** (e // 4) * (1, 2, 3, 5)[e % 4]
+        for b in (1, 2, 3, 7, 15, 16, 17, math.isqrt(a), a // 4, a // 2, a - 1):
+            if 0 <= b <= a:
+                yield a, b
+
+
+def test_log_comb_matches_mpmath_up_to_a_1e300():
+    # A count of one (b = 0 or b = a) must come out exactly 0.
+    for a, b in _comb_grid():
+        ref = _mp_log_comb(a, b)
+        got = _log_comb(a, b)
+        assert abs(got - ref) <= 1e-13 * abs(ref), (a, b, got, ref)
+
+
+def test_log_comb_is_exact_where_the_count_is_one_and_empty_outside():
+    for a in (0, 1, 5, 10**17, 10**300):
+        assert _log_comb(a, 0) == _log_comb(a, a) == 0.0
+        assert _log_comb(a, -1) == _log_comb(a, a + 1) == -math.inf
+
+
+def test_union_sum_at_huge_p_is_vacuous():
+    # At p = 1e17 the lgamma difference read -6.565 (probability 0.0014); the
+    # sum is exp(64.139), so the bound is 1.
+    rep = union_error_bound_sum(100, 10**17, 2, 1.0)
+    assert rep.log_bound == pytest.approx(64.139, abs=1e-3)
+    assert rep.probability == 1.0
+    # At p = 1e307 lgamma overflowed.  The d = 2 term, with log C(p - 2, 2) =
+    # 2 log p - log 2 to double precision, outweighs d = 1 by e^680.
+    d2_term = 2 * 307 * math.log(10) - math.log(2) - 49 * math.log1p(4 * CHERNOFF_C) + 1
+    assert union_error_bound_sum(100, 10**307, 2, 1.0).log_bound == pytest.approx(
+        d2_term, rel=1e-13)
 
 
 # --------------------------------------------------------------- closed form

@@ -257,6 +257,26 @@ def test_conditions_point_that_fails_a_check_reports_row_error(args, point, erro
     assert ((row["p"], row["k"]), row["error"]) == (point, error)
 
 
+@pytest.mark.parametrize("p", [10**17, 10**307], ids=["1e17", "1e307"])
+def test_union_sum_at_huge_p_prints_a_vacuous_bound(p, capsys):
+    # log C(p - k, d) once lost every digit to lgamma's rounding (at 1e17 it
+    # printed probability 0.0014, exit 0) and then overflowed (a traceback
+    # at 1e307); the sum is exp(64.139) at 1e17.
+    assert run(["bound", "union-sum", "--n", "100", "--p", str(p), "--k", "2",
+                "--beta-min-sq", "1"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["probability"] == 1.0
+    assert record["log_bound"] > 64.0
+
+
+def test_conditions_point_at_huge_p_has_finite_thresholds(tmp_path):
+    out = tmp_path / "c.csv"
+    assert run(["conditions", "--point", f"{10**307}:2:1", "--out", str(out)]) == 0
+    [row] = csv.DictReader(out.read_text().splitlines())
+    assert row["error"] == ""
+    assert math.isfinite(float(row["necessary_n"])) and float(row["necessary_n"]) > 0
+
+
 def test_conditions_regime_grid_below_2k_reports_row_error(tmp_path):
     out = tmp_path / "r.csv"
     assert run(["conditions", "--regime", "linear_unit", "--p-grid", "2,64",

@@ -134,8 +134,10 @@ def test_curvature_check_fails_at_a_point_outside_its_premise(monkeypatch):
 
 
 def test_exact_mgf_check_fails_when_the_exact_value_is_off_by_1e_8(monkeypatch):
-    exact = verify.exact_quadratic_log_mgf
-    monkeypatch.setattr(verify, "exact_quadratic_log_mgf",
+    # The check takes its exact values from the stacked spectra through
+    # spectral_log_mgf, the formula exact_quadratic_log_mgf also ends in.
+    exact = verify.spectral_log_mgf
+    monkeypatch.setattr(verify, "spectral_log_mgf",
                         lambda *args: exact(*args) * (1.0 + 1e-8))
     res = verify.check_exact_mgf_sampling()
     assert res.name == "exact-mgf-vs-sampled"
@@ -217,6 +219,7 @@ def _peak_mb(check) -> float:
     (verify.check_chernoff_constants, 2.0),
     (verify.check_exact_mgf_sampling, 2.0),
     (verify.check_chi_square_mgf, 2.0),
+    (verify.check_chain_ordering, 2.0),
     (verify.run_all, 4.0),
 ])
 def test_verify_working_memory_stays_within_its_budget(check, budget_mb):
