@@ -24,10 +24,8 @@ from .model import (
     DesignMatrix,
     SparseSignal,
     SparsityPattern,
-    build_projector,
     column_space_basis,
     pattern_difference,
-    residual_energy,
 )
 
 # Optimal constants for the quadratic-form Chernoff exponent: the rate
@@ -72,17 +70,34 @@ def projection_energy(
     t_pattern: SparsityPattern,
     f_pattern: SparsityPattern,
 ) -> float:
-    """g = ||(I - Pi_F) X_{T-F} beta_{T-F}||^2, the energy F's subspace cannot absorb."""
+    """g = ||(I - Pi_F) X_{T-F} beta_{T-F}||^2, the energy F's subspace cannot
+    absorb: a one-pair call of ``projection_energies``."""
     _check_support_pair(design, signal, t_pattern, f_pattern)
     diff = pattern_difference(t_pattern, f_pattern)
     if len(diff) == 0:
         return 0.0
-    basis = build_projector(design, f_pattern)
+    with np.errstate(over="ignore", invalid="ignore"):  # named by projection_energies
+        miss = design.submatrix(diff) @ signal.values_on(diff)
+    return projection_energies(design.submatrix(f_pattern), miss)
+
+
+def projection_energies(xf: np.ndarray, miss: np.ndarray) -> float | np.ndarray:
+    """g = ||(I - Pi_F) v||^2, v = X_{T-F} beta_{T-F}, for one pair or a stack.
+
+    ``xf`` is X_F, shaped (..., n, k), and ``miss`` is v, shaped (..., n); the
+    result has their leading shape (a float for one pair).  The residual
+    v - Q_F Q_F^T v is formed explicitly from one ``column_space_basis`` call:
+    a one-pair call equals ``model.residual_energy`` bit for bit, and zero
+    padding to a common n and k keeps each g up to its last bits.  A g that
+    overflows double precision raises ``ValidationError``.
+    """
+    basis = column_space_basis(xf)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed g is named below
-        g = residual_energy(basis, design.submatrix(diff) @ signal.values_on(diff))
-    if not math.isfinite(g):
+        resid = miss - (basis @ (np.swapaxes(basis, -1, -2) @ miss[..., None]))[..., 0]
+        g = (resid[..., None, :] @ resid[..., None])[..., 0, 0]
+    if not np.isfinite(g).all():
         raise ValidationError("projection energy g overflows double precision")
-    return g
+    return float(g) if g.ndim == 0 else g
 
 
 def _check_support_pair(design, signal, t_pattern, f_pattern):
@@ -94,6 +109,16 @@ def _check_support_pair(design, signal, t_pattern, f_pattern):
         raise ValidationError(
             f"candidate size {len(f_pattern)} != true support size {len(t_pattern)}"
         )
+
+
+def _first_bad(bad, *values):
+    """The entry of each of ``values`` (broadcast to ``bad``'s shape) at the
+    first entry where ``bad`` holds; a 0-d ``bad`` returns the values as
+    given.  One value comes back bare, several as a tuple."""
+    if np.ndim(bad) > 0:
+        at = np.unravel_index(np.argmax(bad), np.shape(bad))
+        values = tuple(np.broadcast_to(v, np.shape(bad))[at] for v in values)
+    return values[0] if len(values) == 1 else values
 
 
 def pair_spectra(
@@ -149,8 +174,8 @@ def spectral_log_mgf(
     denom = 1.0 - 2.0 * (ts[..., None] * lam_t)
     singular = np.any(denom <= 0.0, axis=-1)
     if np.any(singular):
-        bad = np.broadcast_to(ts, singular.shape)[singular][0]
-        raise DomainError(f"I - 2t*Psi not positive definite at t={bad}", params=("t",))
+        raise DomainError(f"I - 2t*Psi not positive definite at t={_first_bad(singular, ts)}",
+                          params=("t",))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
         quad = 2.0 * ts * ts * np.sum(lam_t**2 * w_t / denom, axis=-1)
         linear = ts * np.sum(lam * w_sq, axis=-1).reshape(lead + (1,) * ts.ndim)
@@ -184,8 +209,8 @@ def exact_quadratic_log_mgf(
     ts = np.asarray(t, dtype=float)
     outside = ~(np.abs(ts) < 0.5)  # NaN is outside too
     if np.any(outside):
-        bad = t if ts.ndim == 0 else ts[outside][0]
-        raise DomainError(f"log-MGF defined for |t| < 1/2, got t={bad}", params=("t",))
+        raise DomainError(f"log-MGF defined for |t| < 1/2, got t={_first_bad(outside, t)}",
+                          params=("t",))
     _check_support_pair(design, signal, t_pattern, f_pattern)
     if f_pattern.indices == t_pattern.indices:
         return 0.0 if ts.ndim == 0 else np.zeros(ts.shape)
@@ -196,26 +221,33 @@ def exact_quadratic_log_mgf(
     return spectral_log_mgf(lam, w_sq, t)
 
 
-def chain_log_bound(g: float, d: int, t: float | np.ndarray) -> float | np.ndarray:
+def chain_log_bound(
+    g: float | np.ndarray, d: int | np.ndarray, t: float | np.ndarray
+) -> float | np.ndarray:
     """Operator-norm/eigen-pair relaxation of the exact log-MGF at parameter t.
 
     [2t^2/(1 - 2|t|) - t] * g - (d/2) log(1 - 4t^2).  The |t| in the
     denominator keeps the operator-norm step valid on both signs of t; for
     t >= 0 (including the optimal t*) it coincides with 2t^2/(1-2t) - t.
 
-    ``t`` is a scalar (returns a float) or an array (returns an array of its
-    shape), as in ``exact_quadratic_log_mgf``.
+    ``g``, ``d`` and ``t`` broadcast against each other: all scalars return a
+    float, else an array of the broadcast shape, every entry equal to the
+    scalar call on its own arguments.  A bad entry anywhere (|t| >= 1/2 or
+    NaN, g < 0, d < 0) raises the scalar call's error at the first such entry.
     """
     ts = np.asarray(t, dtype=float)
-    if not np.all(np.abs(ts) < 0.5):  # NaN fails too
-        raise DomainError(f"chain bound requires |t| < 1/2, got t={t}")
-    if g < 0:
-        raise ValidationError(f"projection energy must be nonnegative, got {g}")
-    if d < 0:
-        raise ValidationError(f"overlap deficit must be nonnegative, got {d}")
+    bad = ~(np.abs(ts) < 0.5)  # NaN is bad too
+    if np.any(bad):
+        raise DomainError(f"chain bound requires |t| < 1/2, got t={_first_bad(bad, t)}")
+    bad = np.less(g, 0)
+    if np.any(bad):
+        raise ValidationError(f"projection energy must be nonnegative, got {_first_bad(bad, g)}")
+    bad = np.less(d, 0)
+    if np.any(bad):
+        raise ValidationError(f"overlap deficit must be nonnegative, got {_first_bad(bad, d)}")
     rate = 2.0 * ts * ts / (1.0 - 2.0 * np.abs(ts)) - ts
     out = rate * g - 0.5 * d * np.log1p(-4.0 * ts * ts)
-    return float(out) if ts.ndim == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def pairwise_conditional_bound(
@@ -391,7 +423,11 @@ def _f_second(d: float, n: int, k: int, beta_min_sq: float) -> float:
 
 
 def f_curve(
-    d: float | np.ndarray, n: int, p: int, k: int, beta_min_sq: float
+    d: float | np.ndarray,
+    n: int | np.ndarray,
+    p: int | np.ndarray,
+    k: int | np.ndarray,
+    beta_min_sq: float | np.ndarray,
 ) -> tuple:
     """The deficit curve f(d) and its first two derivatives.
 
@@ -403,23 +439,32 @@ def f_curve(
     5/2 drops the -2 from differentiating d*log(1/d^2)); both derivatives
     match central finite differences of f.
 
-    ``d`` is a scalar (returns three floats) or an array (returns three
-    arrays of its shape), so one call evaluates the curve on a whole grid.
+    All five arguments broadcast against each other, so one call evaluates
+    the curve on a grid of d, or on a block of (n, p, k, beta_min^2) points
+    each with its own grid.  All scalars return three floats, else three
+    arrays of the broadcast shape, every entry equal to the scalar call on
+    its own arguments.  A bad entry anywhere (d <= 0 or NaN, k < 1, p <= k,
+    beta_min^2 <= 0) raises the scalar call's error at the first such entry.
     """
     ds = np.asarray(d, dtype=float)
-    if not np.all(ds > 0):  # NaN fails too
-        raise DomainError(f"deficit must be positive, got d={d}")
-    if k < 1 or p <= k:
-        raise ValidationError(f"need p > k >= 1, got p={p}, k={k}")
-    if beta_min_sq <= 0:
-        raise ValidationError(f"beta_min^2 must be positive, got {beta_min_sq}")
+    bad = ~(ds > 0)  # NaN is bad too
+    if np.any(bad):
+        raise DomainError(f"deficit must be positive, got d={_first_bad(bad, d)}")
+    bad = np.less(k, 1) | np.less_equal(p, k)
+    if np.any(bad):
+        bad_p, bad_k = _first_bad(bad, p, k)
+        raise ValidationError(f"need p > k >= 1, got p={bad_p}, k={bad_k}")
+    bad = np.less_equal(beta_min_sq, 0)
+    if np.any(bad):
+        raise ValidationError(f"beta_min^2 must be positive, got {_first_bad(bad, beta_min_sq)}")
     b2 = beta_min_sq
     c = CHERNOFF_C
-    log_ratio = np.log(k * (p - k) / (ds * ds))
+    # k (p - k) in floats: exact below 2^53, and no integer array can wrap.
+    log_ratio = np.log(np.multiply(k, p - k, dtype=float) / (ds * ds))
     f = ds * (2.5 + log_ratio) - 0.5 * (n - k) * np.log1p(2.0 * c * ds * b2)
     fp = 0.5 + log_ratio - c * b2 * (n - k) / (1.0 + 2.0 * c * ds * b2)
     fpp = _f_second(ds, n, k, b2)
-    if ds.ndim == 0:
+    if np.ndim(f) == 0:
         return float(f), float(fp), float(fpp)
     return f, fp, fpp
 

@@ -256,7 +256,8 @@ def build_projector(design: DesignMatrix, pattern: SparsityPattern) -> np.ndarra
 
 def residual_energy(basis: np.ndarray, v: np.ndarray) -> float:
     """||(I - Q Q^T) v||^2 for an orthonormal basis Q, from the explicit
-    residual: the one residual kernel, shared by the decoder and the bounds."""
+    residual: the decoder's kernel.  ``bounds.projection_energies`` forms the
+    same residual over stacks, and a one-pair call of it equals this bit for bit."""
     v = np.asarray(v, dtype=float)
     if v.shape != basis.shape[:1]:
         raise ValidationError(f"vector shape {v.shape} != ({basis.shape[0]},)")

@@ -12,11 +12,17 @@ Z = sum_i lam_i (nu_i + e_i)^2 with independent standard-normal e_i, and the
 log-MGF is a sum of one-dimensional Gaussian integrals; they draw no samples,
 and ``run_all`` runs the nine checks one after another on the calling thread.
 
-The exact log-MGFs that ``exact-mgf-vs-sampled`` and ``chain-ordering`` test
-come from one ``bounds.pair_spectra`` call per check: X_T, X_F and the mean
-of all 100 instances, zero-padded to the largest n and k drawn and stacked;
-the padding adds only zero eigenvalues.  The dense oracle and
-``projection_energy``'s g stay per instance.
+The four instance-based checks draw their 100 instances in order, ``BLOCK``
+at a time.  Each block zero-pads X_T, X_F, the mean X_T beta_T and the
+missed mean X_{T-F} beta_{T-F} to its largest n and k and stacks them, and
+takes each quantity from one call per block: the dense Psi from
+``quadratic_form_matrices`` (with one batched eigensolve), g from
+``bounds.projection_energies`` and the exact log-MGFs from
+``bounds.pair_spectra``.  The padding adds only zero rows, columns and
+eigenvalues.  Only the quadrature runs per instance.  The two deficit-curve
+checks likewise draw their points in order and evaluate each block of them
+in one ``f_curve`` call.  Blocks keep working memory small: each holds a
+few hundred kilobytes.
 
 The Chernoff grid is built and scanned ``SAMPLE_BLOCK`` points at a time,
 never as one array, so working memory stays bounded whatever the grid size.
@@ -27,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -41,7 +48,7 @@ from .bounds import (
     curvature_condition,
     f_curve,
     pair_spectra,
-    projection_energy,
+    projection_energies,
     spectral_log_mgf,
 )
 from .errors import DomainError
@@ -49,7 +56,7 @@ from .model import (
     DesignMatrix,
     SparseSignal,
     SparsityPattern,
-    build_projector,
+    column_space_basis,
     make_pattern,
     pattern_difference,
 )
@@ -76,6 +83,9 @@ QUADRATURE_REACH = 12.0
 #: Random instances drawn by each instance-based check.
 INSTANCES = 100
 
+#: Instances, or deficit-curve points, per stacked block.
+BLOCK = 25
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -84,15 +94,28 @@ class CheckResult:
     detail: str
 
 
+def quadratic_form_matrices(xt: np.ndarray, xf: np.ndarray) -> np.ndarray:
+    """Dense n x n Psi = Pi_F - Pi_T, the oracle for the compressed spectrum in
+    ``bounds``, for one pair or a stack of them.
+
+    ``xt`` and ``xf`` are X_T and X_F of one shape, (n, k) or (..., n, k).
+    One stacked ``column_space_basis`` call gives Q_T and Q_F, and Psi is
+    Q_F Q_F^T - Q_T Q_T^T.  Pairs zero-padded to a common n and k get zero
+    rows and columns beyond their own n.
+    """
+    qt, qf = column_space_basis(np.stack([xt, xf]))
+    psi = qf @ np.swapaxes(qf, -1, -2)
+    psi -= qt @ np.swapaxes(qt, -1, -2)
+    return psi
+
+
 def quadratic_form_matrix(
     design: DesignMatrix,
     t_pattern: SparsityPattern,
     f_pattern: SparsityPattern,
 ) -> np.ndarray:
-    """Dense n x n Psi = Pi_F - Pi_T, the oracle for the compressed spectrum in ``bounds``."""
-    qt = build_projector(design, t_pattern)
-    qf = build_projector(design, f_pattern)
-    return qf @ qf.T - qt @ qt.T
+    """Dense Psi of one pair (|T| = |F|): a one-pair ``quadratic_form_matrices`` call."""
+    return quadratic_form_matrices(design.submatrix(t_pattern), design.submatrix(f_pattern))
 
 
 @functools.cache
@@ -150,14 +173,55 @@ def _random_instance(gen: np.random.Generator):
     return design, signal, t_patt, f_patt
 
 
-def _grid_slice(lo: float, hi: float, num: int, start: int, stop: int) -> np.ndarray:
+class _Block(NamedTuple):
+    """A block of instances, zero-padded to its largest n and k and stacked:
+    X_T and X_F (..., n, k), the mean X_T beta_T and the missed mean
+    X_{T-F} beta_{T-F} (..., n), and the deficit d = |T - F|."""
+
+    xt: np.ndarray
+    xf: np.ndarray
+    mu: np.ndarray
+    miss: np.ndarray
+    d: np.ndarray
+
+
+def _blocks(count: int, draw: Callable[[], tuple]) -> Iterator[list[tuple]]:
+    """``count`` results of ``draw()``, drawn in order and yielded ``BLOCK`` at a time."""
+    for start in range(0, count, BLOCK):
+        yield [draw() for _ in range(min(BLOCK, count - start))]
+
+
+def _instance_blocks(gen: np.random.Generator) -> Iterator[_Block]:
+    """The ``INSTANCES`` random instances of ``gen``, drawn in order and
+    stacked ``BLOCK`` at a time.  Each instance's rows are read through the
+    model's accessors, so its missed mean is the v of ``projection_energy``."""
+    for instances in _blocks(INSTANCES, lambda: _random_instance(gen)):
+        n = max(design.n for design, *_ in instances)
+        k = max(len(t_patt) for _, _, t_patt, _ in instances)
+        xt, xf = np.zeros((2, len(instances), n, k))
+        mu, miss = np.zeros((2, len(instances), n))
+        d = np.empty(len(instances), dtype=int)
+        for i, (design, signal, t_patt, f_patt) in enumerate(instances):
+            diff = pattern_difference(t_patt, f_patt)
+            sub_t = design.submatrix(t_patt)
+            rows, cols = sub_t.shape
+            xt[i, :rows, :cols] = sub_t
+            xf[i, :rows, :cols] = design.submatrix(f_patt)
+            mu[i, :rows] = sub_t @ signal.values
+            miss[i, :rows] = design.submatrix(diff) @ signal.values_on(diff)
+            d[i] = len(diff)
+        yield _Block(xt, xf, mu, miss, d)
+
+
+def _grid_slice(lo: float, hi: float | np.ndarray, num: int, start: int, stop: int) -> np.ndarray:
     """Points ``start:stop`` of ``np.linspace(lo, hi, num)``, bit for bit, built
     with linspace's own arithmetic (index times step, plus ``lo``; the last
-    point is ``hi``) without the rest of the grid."""
+    point is ``hi``) without the rest of the grid.  A column of endpoints
+    ``hi``, shaped (m, 1), gives one such row per endpoint."""
     step = np.subtract(hi, lo, dtype=float) / (num - 1)
     ts = np.arange(start, stop, dtype=float) * step + lo
     if stop == num:
-        ts[-1] = hi
+        ts[..., -1:] = hi
     return ts
 
 
@@ -186,23 +250,29 @@ def check_chernoff_constants(c_override: float | None = None) -> CheckResult:
 
 
 def check_eigen_pairs(seed: int = DEFAULT_VERIFY_SEED) -> CheckResult:
-    """Nonzero eigenvalues of Pi_F - Pi_T come in +/- pairs, at most d, inside [-1, 1]."""
+    """Nonzero eigenvalues of Pi_F - Pi_T come in +/- pairs, at most d, inside [-1, 1].
+
+    Eigenvalues beyond 1e-8 in magnitude count as nonzero.  In each sorted
+    spectrum the j-th largest positive one pairs with the j-th most negative.
+    """
     gen = rng.stream(seed, 101)
     worst_pair = 0.0
     worst_mag = 0.0
-    for _ in range(INSTANCES):
-        design, _, t_patt, f_patt = _random_instance(gen)
-        d = len(pattern_difference(t_patt, f_patt))
-        lam = np.linalg.eigvalsh(quadratic_form_matrix(design, t_patt, f_patt))
-        pos = np.sort(lam[lam > 1e-8])[::-1]
-        neg = np.sort(-lam[lam < -1e-8])[::-1]
-        if len(pos) != len(neg) or len(pos) > d:
+    for block in _instance_blocks(gen):
+        lam = np.linalg.eigvalsh(quadratic_form_matrices(block.xt, block.xf))
+        pos = np.sum(lam > 1e-8, axis=-1)
+        neg = np.sum(lam < -1e-8, axis=-1)
+        bad = (pos != neg) | (pos > block.d)
+        if np.any(bad):
+            i = int(np.argmax(bad))
             return CheckResult(
                 "eigen-pairs", False,
-                f"pair count mismatch: {len(pos)} pos, {len(neg)} neg, d={d}",
+                f"pair count mismatch: {pos[i]} pos, {neg[i]} neg, d={block.d[i]}",
             )
-        if len(pos):
-            worst_pair = max(worst_pair, float(np.max(np.abs(pos - neg))))
+        half = lam.shape[-1] // 2
+        gaps = np.abs(lam[:, ::-1][:, :half] + lam[:, :half])
+        paired = np.arange(half) < pos[:, None]
+        worst_pair = max(worst_pair, float(np.max(gaps, where=paired, initial=0.0)))
         worst_mag = max(worst_mag, float(np.max(np.abs(lam))))
     ok = worst_pair < 1e-8 and worst_mag <= 1.0 + 1e-10
     return CheckResult("eigen-pairs", ok,
@@ -210,37 +280,20 @@ def check_eigen_pairs(seed: int = DEFAULT_VERIFY_SEED) -> CheckResult:
 
 
 def check_quadratic_identities(seed: int = DEFAULT_VERIFY_SEED) -> CheckResult:
-    """mu^T Psi mu = -g and mu^T Psi^2 mu = +g against the projector route."""
+    """mu^T Psi mu = -g and mu^T Psi^2 mu = +g, Psi dense and g from the projector route."""
     gen = rng.stream(seed, 102)
     worst = 0.0
-    for _ in range(INSTANCES):
-        design, signal, t_patt, f_patt = _random_instance(gen)
-        psi = quadratic_form_matrix(design, t_patt, f_patt)
-        mu = design.submatrix(t_patt) @ signal.values
-        g = projection_energy(design, signal, t_patt, f_patt)
-        scale = max(g, 1e-12)
-        err1 = abs(float(mu @ psi @ mu) + g) / scale
-        err2 = abs(float(mu @ psi @ psi @ mu) - g) / scale
-        worst = max(worst, err1, err2)
+    for block in _instance_blocks(gen):
+        psi = quadratic_form_matrices(block.xt, block.xf)
+        g = projection_energies(block.xf, block.miss)
+        mu_psi = block.mu[:, None, :] @ psi
+        once = (mu_psi @ block.mu[..., None])[:, 0, 0]
+        twice = (mu_psi @ psi @ block.mu[..., None])[:, 0, 0]
+        scale = np.maximum(g, 1e-12)
+        worst = max(worst, float(np.max(np.abs(once + g) / scale)),
+                    float(np.max(np.abs(twice - g) / scale)))
     ok = worst < 1e-9
     return CheckResult("quadratic-identities", ok, f"worst_rel_err={worst:.3e}")
-
-
-def _stacked_spectra(instances) -> tuple[np.ndarray, np.ndarray]:
-    """``pair_spectra`` of every (design, signal, T, F) in one call: X_T, X_F
-    and mu = X_T beta_T zero-padded to the largest n and k drawn, and stacked."""
-    n = max(design.n for design, *_ in instances)
-    k = max(len(t_patt) for _, _, t_patt, _ in instances)
-    xt = np.zeros((len(instances), n, k))
-    xf = np.zeros_like(xt)
-    mu = np.zeros((len(instances), n))
-    for i, (design, signal, t_patt, f_patt) in enumerate(instances):
-        sub_t = design.submatrix(t_patt)
-        rows, cols = sub_t.shape
-        xt[i, :rows, :cols] = sub_t
-        xf[i, :rows, :cols] = design.submatrix(f_patt)
-        mu[i, :rows] = sub_t @ signal.values
-    return pair_spectra(xt, xf, mu)
 
 
 def check_exact_mgf_sampling(seed: int = DEFAULT_VERIFY_SEED) -> CheckResult:
@@ -250,14 +303,14 @@ def check_exact_mgf_sampling(seed: int = DEFAULT_VERIFY_SEED) -> CheckResult:
     """
     gen = rng.stream(seed, 103)
     ts = np.array([CHERNOFF_T_STAR, -CHERNOFF_C])
-    instances = [_random_instance(gen) for _ in range(INSTANCES)]
-    quad = np.empty((INSTANCES, len(ts)))
-    for i, (design, signal, t_patt, f_patt) in enumerate(instances):
-        lam, vecs = np.linalg.eigh(quadratic_form_matrix(design, t_patt, f_patt))
-        nu = vecs.T @ (design.submatrix(t_patt) @ signal.values)
-        quad[i] = quadrature_log_mgf(np.multiply.outer(ts, lam), nu)
-    exact = spectral_log_mgf(*_stacked_spectra(instances), ts)
-    worst = float(np.max(np.abs(quad - exact) / np.maximum(np.abs(exact), 1.0)))
+    worst = 0.0
+    for block in _instance_blocks(gen):
+        lam, vecs = np.linalg.eigh(quadratic_form_matrices(block.xt, block.xf))
+        nu = (np.swapaxes(vecs, -1, -2) @ block.mu[..., None])[..., 0]
+        quad = np.stack([quadrature_log_mgf(np.multiply.outer(ts, one_lam), one_nu)
+                         for one_lam, one_nu in zip(lam, nu)])
+        exact = spectral_log_mgf(*pair_spectra(block.xt, block.xf, block.mu), ts)
+        worst = max(worst, float(np.max(np.abs(quad - exact) / np.maximum(np.abs(exact), 1.0))))
     ok = worst < 1e-10
     return CheckResult("exact-mgf-vs-sampled", ok, f"worst_rel_err={worst:.3e}")
 
@@ -279,15 +332,14 @@ def check_chain_ordering(seed: int = DEFAULT_VERIFY_SEED) -> CheckResult:
     slack 1e-9."""
     gen = rng.stream(seed, 106)
     ts = np.linspace(-0.49, 0.49, 25)
-    instances = [_random_instance(gen) for _ in range(INSTANCES)]
-    exact = spectral_log_mgf(*_stacked_spectra(instances), ts)
     worst = -math.inf
-    for (design, signal, t_patt, f_patt), row in zip(instances, exact):
-        d = len(pattern_difference(t_patt, f_patt))
-        g = projection_energy(design, signal, t_patt, f_patt)
-        worst = max(worst, float(np.max(row - chain_log_bound(g, d, ts))))
-        final = -CHERNOFF_C * g + 0.5 * d
-        worst = max(worst, chain_log_bound(g, d, CHERNOFF_T_STAR) - final)
+    for block in _instance_blocks(gen):
+        exact = spectral_log_mgf(*pair_spectra(block.xt, block.xf, block.mu), ts)
+        g = projection_energies(block.xf, block.miss)
+        chain = chain_log_bound(g[:, None], block.d[:, None], ts)
+        final = -CHERNOFF_C * g + 0.5 * block.d
+        worst = max(worst, float(np.max(exact - chain)),
+                    float(np.max(chain_log_bound(g, block.d, CHERNOFF_T_STAR) - final)))
     ok = worst <= 1e-9
     return CheckResult("chain-ordering", ok, f"worst_excess={worst:.3e}")
 
@@ -298,24 +350,30 @@ def check_f_curve_derivatives(seed: int = DEFAULT_VERIFY_SEED) -> CheckResult:
 
     The five-point stencil's O(h^4) truncation error lets h be large enough
     that rounding in f (|f| up to ~1e2 beside |f'| down to ~1e-4) stays far
-    below the tolerance.
+    below the tolerance.  The points are drawn in order and each block of
+    ``BLOCK`` is evaluated in one ``f_curve`` call.
     """
     gen = rng.stream(seed, 107)
     h = 1e-3
     offsets = np.arange(-2, 3) * h
     weights = (1.0, -8.0, 0.0, 8.0, -1.0)
-    worst = 0.0
-    for _ in range(100):
+
+    def draw():
         k = int(gen.integers(1, 33))
         p = int(gen.integers(2 * k + 1, 6 * k + 40))
         b2 = float(np.exp(gen.uniform(math.log(0.1), math.log(10.0))))
         n = k + int(gen.integers(8, 2000))
-        d = float(gen.uniform(1.0, max(1.0, float(k))))
+        return float(gen.uniform(1.0, max(1.0, float(k)))), n, p, k, b2
+
+    worst = 0.0
+    for drawn in _blocks(100, draw):
+        d, n, p, k, b2 = (np.array(column)[:, None] for column in zip(*drawn))
         f, fp, fpp = f_curve(d + offsets, n, p, k, b2)
-        fd1 = sum(w * v for w, v in zip(weights, f)) / (12 * h)
-        fd2 = sum(w * v for w, v in zip(weights, fp)) / (12 * h)
-        worst = max(worst, abs(fd1 - fp[2]) / max(abs(fp[2]), 1e-6),
-                    abs(fd2 - fpp[2]) / max(abs(fpp[2]), 1e-6))
+        fd1 = sum(w * f[:, j] for j, w in enumerate(weights)) / (12 * h)
+        fd2 = sum(w * fp[:, j] for j, w in enumerate(weights)) / (12 * h)
+        worst = max(worst,
+                    float(np.max(np.abs(fd1 - fp[:, 2]) / np.maximum(np.abs(fp[:, 2]), 1e-6))),
+                    float(np.max(np.abs(fd2 - fpp[:, 2]) / np.maximum(np.abs(fpp[:, 2]), 1e-6))))
     ok = bool(worst < 1e-6)
     return CheckResult("f-curve-derivatives", ok, f"worst_rel_err={worst:.3e}")
 
@@ -325,27 +383,42 @@ def check_curvature_boundary_max(seed: int = DEFAULT_VERIFY_SEED) -> CheckResult
 
     Each of the 200 points takes n - k at least 1.001 times the larger of the
     two endpoint thresholds of f'' > 0, so the condition is the premise of
-    every point: a point where it fails fails the check.
+    every point: a point where it fails fails the check.  The points are
+    drawn in order, and each block of ``BLOCK`` evaluates f over d = 1..k
+    and f'' over a 64-point grid on [1, k] in one ``f_curve`` call.  The
+    first failing point in draw order is named, with its first failure.
     """
     gen = rng.stream(seed, 108)
-    points = 200
-    for _ in range(points):
+    points, grid = 200, 64
+
+    def draw():
         k = int(gen.integers(2, 65))
         p = int(gen.integers(2 * k + 1, 6 * k + 50))
         b2 = float(np.exp(gen.uniform(math.log(0.05), math.log(10.0))))
         lo = (1.0 + 2.0 * CHERNOFF_C * b2) ** 2 / (CHERNOFF_C**2 * b2 * b2)
         lo = max(lo, (1.0 + 2.0 * CHERNOFF_C * k * b2) ** 2 / (k * CHERNOFF_C**2 * b2 * b2))
-        n = k + int(math.ceil(lo * float(gen.uniform(1.001, 5.0))))
-        at = f"n={n}, p={p}, k={k}, b2={b2:.4f}"
-        if not curvature_condition(n, k, b2):
-            return CheckResult("curvature-boundary-max", False,
-                               f"curvature condition fails at {at}")
-        arg = int(np.argmax(f_curve(np.arange(1.0, k + 1), n, p, k, b2)[0])) + 1
-        if arg not in (1, k):
-            return CheckResult("curvature-boundary-max", False, f"interior argmax d={arg} at {at}")
-        if np.any(f_curve(np.linspace(1, k, 64), n, p, k, b2)[2] <= 0):
-            return CheckResult("curvature-boundary-max", False,
-                               f"negative curvature inside [1,k] at {at}")
+        return k + int(math.ceil(lo * float(gen.uniform(1.001, 5.0)))), p, k, b2
+
+    for drawn in _blocks(points, draw):
+        n, p, k, b2 = (np.array(column)[:, None] for column in zip(*drawn))
+        integers = np.arange(1.0, k.max() + 1)
+        ds = np.concatenate([np.broadcast_to(integers, (len(drawn), len(integers))),
+                             _grid_slice(1.0, k, grid, 0, grid)], axis=1)
+        f, _, fpp = f_curve(ds, n, p, k, b2)
+        on_curve = np.where(integers <= k, f[:, : len(integers)], -np.inf)
+        argmax = np.argmax(on_curve, axis=1) + 1
+        concave = np.any(fpp[:, len(integers):] <= 0, axis=1)
+        for i, (n_i, p_i, k_i, b2_i) in enumerate(drawn):
+            at = f"n={n_i}, p={p_i}, k={k_i}, b2={b2_i:.4f}"
+            if not curvature_condition(n_i, k_i, b2_i):
+                return CheckResult("curvature-boundary-max", False,
+                                   f"curvature condition fails at {at}")
+            if argmax[i] not in (1, k_i):
+                return CheckResult("curvature-boundary-max", False,
+                                   f"interior argmax d={argmax[i]} at {at}")
+            if concave[i]:
+                return CheckResult("curvature-boundary-max", False,
+                                   f"negative curvature inside [1,k] at {at}")
     return CheckResult("curvature-boundary-max", True, f"checked {points} qualifying points")
 
 

@@ -22,6 +22,7 @@ from supportlab.bounds import (
     necessary_sample_size,
     pair_spectra,
     pairwise_conditional_bound,
+    projection_energies,
     projection_energy,
     regime_table,
     spectral_log_mgf,
@@ -38,8 +39,9 @@ from supportlab.model import (
     gaussian_design,
     make_pattern,
     pattern_difference,
+    residual_energy,
 )
-from supportlab.verify import quadratic_form_matrix
+from supportlab.verify import quadratic_form_matrices, quadratic_form_matrix
 from supportlab import rng
 
 SEED = 20260811
@@ -267,6 +269,47 @@ def test_padded_pair_stack_equals_one_pair_calls():
         xt = design.submatrix(t_patt)
         own, _ = pair_spectra(xt, design.submatrix(f_patt), xt @ signal.values)
         assert np.sum(spectrum == 0.0) >= lam.shape[-1] - len(own)
+
+
+def test_stacked_dense_psi_and_g_equal_one_pair_calls():
+    # The dense oracle's stacked route and the stacked energy kernel, on a
+    # zero-padded stack of mixed n (up to 300) and k (1 to 4): plain pairs,
+    # pairs with duplicated, zero or collinear columns (T and F overlap
+    # there), and pairs with col(X_F) = col(X_T), where g is rounding noise.
+    gen = rng.stream(SEED, 14)
+    pairs = []
+    for i in range(24):
+        make = (lambda g: random_pair(g, n_max=60, k_max=4), degenerate_pair,
+                _equal_column_spaces)[i % 3]
+        pairs.append(make(gen))
+    xt, xf, _ = _zero_padded(pairs)
+    miss = np.zeros(xt.shape[:2])
+    for i, (design, signal, t_patt, f_patt) in enumerate(pairs):
+        diff = pattern_difference(t_patt, f_patt)
+        miss[i, :design.n] = design.submatrix(diff) @ signal.values_on(diff)
+    psi = quadratic_form_matrices(xt, xf)
+    g = projection_energies(xf, miss)
+    assert psi.shape == (24, xt.shape[1], xt.shape[1]) and g.shape == (24,)
+    for pair, stacked_psi, stacked_g in zip(pairs, psi, g):
+        design, _, t_patt, f_patt = pair
+        one = quadratic_form_matrix(design, t_patt, f_patt)
+        n = design.n
+        assert np.all(np.abs(stacked_psi[:n, :n] - one) <= 1e-12 * np.maximum(np.abs(one), 1.0))
+        assert not stacked_psi[n:].any() and not stacked_psi[:, n:].any()
+        ref = projection_energy(*pair)
+        assert abs(stacked_g - ref) <= 1e-12 * max(abs(ref), 1.0), pair[2:]
+
+
+def test_projection_energy_is_the_decoders_residual_kernel_bit_for_bit():
+    # A one-pair call of the stacked kernel takes the BLAS routes of
+    # model.residual_energy, so the pairwise bound's golden g cannot move.
+    gen = rng.stream(SEED, 15)
+    for i in range(60):
+        pair = random_pair(gen, n_max=60, k_max=4) if i % 2 else degenerate_pair(gen)
+        design, signal, t_patt, f_patt = pair
+        diff = pattern_difference(t_patt, f_patt)
+        v = design.submatrix(diff) @ signal.values_on(diff)
+        assert projection_energy(*pair) == residual_energy(build_projector(design, f_patt), v)
 
 
 def test_pair_spectra_of_equal_column_spaces_is_zero():
@@ -711,6 +754,89 @@ def test_chain_bound_array_t_equals_scalar_calls():
 def test_chain_bound_domain_error(t):
     with pytest.raises(DomainError, match=r"chain bound requires \|t\| < 1/2"):
         chain_log_bound(1.0, 1, t)
+
+
+def _curve_points(gen, size):
+    """n, p, k and beta_min^2 of ``size`` random deficit-curve points."""
+    k = gen.integers(1, 33, size=size)
+    p = 2 * k + 1 + gen.integers(0, 40, size=size)
+    n = k + gen.integers(8, 2000, size=size)
+    b2 = np.exp(gen.uniform(math.log(0.1), math.log(10.0), size=size))
+    return n, p, k, b2
+
+
+def test_f_curve_broadcasts_over_every_argument_bit_for_bit():
+    # A column of (n, p, k, beta^2) points against a row of d per point, and
+    # a scalar d against the column: every entry is the scalar call's.
+    gen = rng.stream(SEED, 17)
+    n, p, k, b2 = _curve_points(gen, 40)
+    ds = gen.uniform(0.5, 40.0, size=(40, 6))
+    grid = f_curve(ds, n[:, None], p[:, None], k[:, None], b2[:, None])
+    at_two = f_curve(2.0, n, p, k, b2)
+    for column in range(3):
+        assert grid[column].shape == (40, 6) and at_two[column].shape == (40,)
+        scalar = np.array([[f_curve(float(d), int(n[i]), int(p[i]), int(k[i]), float(b2[i]))[column]
+                            for d in (*ds[i], 2.0)] for i in range(40)])
+        assert np.array_equal(grid[column], scalar[:, :6])
+        assert np.array_equal(at_two[column], scalar[:, 6])
+
+
+def test_chain_bound_broadcasts_over_every_argument_bit_for_bit():
+    gen = rng.stream(SEED, 18)
+    g = gen.uniform(0.0, 50.0, size=30)
+    d = gen.integers(0, 5, size=30)
+    ts = np.concatenate([np.linspace(-0.49, 0.49, 25), [CHERNOFF_T_STAR, -CHERNOFF_C]])
+    got = chain_log_bound(g[:, None], d[:, None], ts)
+    assert got.shape == (30, len(ts))
+    scalar = np.array([[chain_log_bound(float(g[i]), int(d[i]), float(t)) for t in ts]
+                       for i in range(30)])
+    assert np.array_equal(got, scalar)
+    assert np.array_equal(chain_log_bound(g, d, CHERNOFF_T_STAR), scalar[:, -2])
+
+
+def test_scalar_curve_calls_return_python_floats():
+    for args in [(2.0, 30, 10, 2, 1.0), (np.float64(2.0), np.int64(30), np.int64(10),
+                                         np.int64(2), np.float64(1.0))]:
+        assert [type(v) for v in f_curve(*args)] == [float] * 3
+    assert type(chain_log_bound(3.0, 2, 0.1)) is float
+    assert type(chain_log_bound(np.float64(3.0), np.int64(2), np.float64(0.1))) is float
+
+
+# One bad entry per case: (function, valid arguments, position of the bad
+# argument, bad value).
+BAD_ENTRIES = [
+    (f_curve, (2.0, 30, 10, 2, 1.0), 0, math.nan),
+    (f_curve, (2.0, 30, 10, 2, 1.0), 0, -1.0),
+    (f_curve, (2.0, 30, 10, 2, 1.0), 3, 0),
+    (f_curve, (2.0, 30, 10, 2, 1.0), 2, 2),
+    (f_curve, (2.0, 30, 10, 2, 1.0), 4, 0.0),
+    (f_curve, (2.0, 30, 10, 2, 1.0), 4, -1.5),
+    (chain_log_bound, (3.0, 2, 0.1), 0, -1.0),
+    (chain_log_bound, (3.0, 2, 0.1), 1, -1),
+    (chain_log_bound, (3.0, 2, 0.1), 2, 0.5),
+    (chain_log_bound, (3.0, 2, 0.1), 2, -0.7),
+    (chain_log_bound, (3.0, 2, 0.1), 2, math.nan),
+]
+
+
+@pytest.mark.parametrize("fn, valid, at, bad", BAD_ENTRIES,
+                         ids=[f"{fn.__name__}-{at}-{bad}" for fn, _, at, bad in BAD_ENTRIES])
+def test_one_bad_entry_anywhere_raises_the_scalar_calls_error(fn, valid, at, bad):
+    args = list(valid)
+    args[at] = bad
+    with pytest.raises((DomainError, ValidationError)) as scalar:
+        fn(*args)
+    # The bad entry sits at (1, 2) of a 3 x 4 array, the others are scalars;
+    # then a column of 3 beside a row of 4 for every argument, so the bad
+    # entry reaches several broadcast entries and the first is reported.
+    for shape, others in (((3, 4), None), ((3, 1), (1, 4))):
+        arrays = [v if others is None else np.full(others, v) for v in valid]
+        column = np.full(shape, valid[at])
+        column[1, -1] = bad
+        arrays[at] = column
+        with pytest.raises(type(scalar.value)) as broadcast:
+            fn(*arrays)
+        assert str(broadcast.value) == str(scalar.value)
 
 
 def test_boundary_max_under_curvature_condition():

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import supportlab.verify as verify
+from supportlab import rng
 from supportlab.errors import DomainError, ValidationError
+from supportlab.model import column_space_basis
 
 
 def _worst(result) -> float:
@@ -145,6 +147,112 @@ def test_exact_mgf_check_fails_when_the_exact_value_is_off_by_1e_8(monkeypatch):
     assert _worst(res) > 1e-9
 
 
+def test_quadratic_identities_check_fails_when_g_is_off_by_1e_8(monkeypatch):
+    # The check reads g from the stacked energy kernel, once per block.
+    exact = verify.projection_energies
+    monkeypatch.setattr(verify, "projection_energies",
+                        lambda xf, miss: exact(xf, miss) * (1.0 + 1e-8))
+    res = verify.check_quadratic_identities()
+    assert res.name == "quadratic-identities"
+    assert not res.passed
+    assert _worst(res) > 1e-9
+
+
+def test_eigen_pairs_check_fails_when_psi_is_a_sum_of_projectors(monkeypatch):
+    # Pi_F + Pi_T has no negative eigenvalues to pair with its positive ones.
+    def summed(xt, xf):
+        qt, qf = column_space_basis(np.stack([xt, xf]))
+        return qf @ np.swapaxes(qf, -1, -2) + qt @ np.swapaxes(qt, -1, -2)
+
+    monkeypatch.setattr(verify, "quadratic_form_matrices", summed)
+    res = verify.check_eigen_pairs()
+    assert res.name == "eigen-pairs"
+    assert not res.passed
+    assert res.detail.startswith("pair count mismatch: ") and " 0 neg, d=" in res.detail
+
+
+def test_curve_checks_evaluate_one_f_curve_call_per_block(monkeypatch):
+    # Both curve checks reach f_curve and curvature_condition through the
+    # verify module, which is what the negative controls patch.
+    calls = {"f_curve": 0, "curvature_condition": 0}
+    for name in calls:
+        original = getattr(verify, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+    assert verify.check_f_curve_derivatives().passed
+    assert calls == {"f_curve": 100 // verify.BLOCK, "curvature_condition": 0}
+    assert verify.check_curvature_boundary_max().passed
+    assert calls == {"f_curve": 100 // verify.BLOCK + 200 // verify.BLOCK,
+                     "curvature_condition": 200}
+
+
+def _curvature_points(seed=verify.DEFAULT_VERIFY_SEED):
+    """The 200 (n, p, k, b2) points of ``check_curvature_boundary_max``, drawn
+    one at a time in the order the check draws them."""
+    gen = rng.stream(seed, 108)
+    c = verify.CHERNOFF_C
+    points = []
+    for _ in range(200):
+        k = int(gen.integers(2, 65))
+        p = int(gen.integers(2 * k + 1, 6 * k + 50))
+        b2 = float(np.exp(gen.uniform(math.log(0.05), math.log(10.0))))
+        lo = (1.0 + 2.0 * c * b2) ** 2 / (c**2 * b2 * b2)
+        lo = max(lo, (1.0 + 2.0 * c * k * b2) ** 2 / (k * c**2 * b2 * b2))
+        n = k + int(math.ceil(lo * float(gen.uniform(1.001, 5.0))))
+        points.append((n, p, k, b2))
+    return points
+
+
+def _at(point):
+    n, p, k, b2 = point
+    return f"n={n}, p={p}, k={k}, b2={b2:.4f}"
+
+
+@pytest.mark.parametrize("faults, expected", [
+    # point index -> faults there; the first faulty point in draw order is
+    # named, with its first failure in today's order of the three tests.
+    ({60: {"premise"}, 170: {"premise"}}, (60, "curvature condition fails at")),
+    ({37: {"interior"}, 80: {"concave"}, 120: {"premise"}}, (37, "interior argmax d=2 at")),
+    ({30: {"concave"}, 31: {"premise"}}, (30, "negative curvature inside [1,k] at")),
+    ({99: {"interior", "concave"}}, (99, "interior argmax d=2 at")),
+    ({150: {"premise", "concave"}, 151: {"interior"}}, (150, "curvature condition fails at")),
+])
+def test_curvature_check_names_the_first_failing_point_in_draw_order(monkeypatch, faults,
+                                                                     expected):
+    points = _curvature_points()
+    assert all(points[i][2] > 2 for i in faults)  # so that d = 2 is interior
+    faulty = {name: [points[i] for i, kinds in faults.items() if name in kinds]
+              for name in ("premise", "interior", "concave")}
+    condition, curve = verify.curvature_condition, verify.f_curve
+
+    def premise(n, k, b2):
+        if any((n, k, b2) == (pn, pk, pb2) for pn, _, pk, pb2 in faulty["premise"]):
+            return False
+        return condition(n, k, b2)
+
+    def faulted(d, n, p, k, b2):
+        f, fp, fpp = curve(d, n, p, k, b2)
+        for kind, bump in (("interior", 1e6), ("concave", -1e6)):
+            for point in faulty[kind]:
+                rows = (n == point[0]) & (p == point[1]) & (k == point[2]) & (b2 == point[3])
+                if kind == "interior":
+                    f = np.where(rows & (d == 2.0), f + bump, f)
+                else:
+                    fpp = np.where(rows, bump, fpp)
+        return f, fp, fpp
+
+    monkeypatch.setattr(verify, "curvature_condition", premise)
+    monkeypatch.setattr(verify, "f_curve", faulted)
+    res = verify.check_curvature_boundary_max()
+    index, message = expected
+    assert not res.passed
+    assert res.detail == f"{message} {_at(points[index])}"
+
+
 def test_chi_square_check_fails_with_one_degree_of_freedom_too_many(monkeypatch):
     exact = verify.chi_square_log_mgf
     monkeypatch.setattr(verify, "chi_square_log_mgf", lambda t, dof: exact(t, dof + 1))
@@ -217,9 +325,13 @@ def _peak_mb(check) -> float:
 
 @pytest.mark.parametrize("check, budget_mb", [
     (verify.check_chernoff_constants, 2.0),
+    (verify.check_eigen_pairs, 1.2),
+    (verify.check_quadratic_identities, 1.2),
     (verify.check_exact_mgf_sampling, 2.0),
     (verify.check_chi_square_mgf, 2.0),
     (verify.check_chain_ordering, 2.0),
+    (verify.check_f_curve_derivatives, 1.2),
+    (verify.check_curvature_boundary_max, 1.2),
     (verify.run_all, 4.0),
 ])
 def test_verify_working_memory_stays_within_its_budget(check, budget_mb):
