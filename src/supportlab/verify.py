@@ -12,20 +12,21 @@ Z = sum_i lam_i (nu_i + e_i)^2 with independent standard-normal e_i, and the
 log-MGF is a sum of one-dimensional Gaussian integrals; they draw no samples,
 and ``run_all`` runs the nine checks one after another on the calling thread.
 
-The four instance-based checks draw their 100 instances in order, ``BLOCK``
-at a time.  Each block zero-pads X_T, X_F, the mean X_T beta_T and the
-missed mean X_{T-F} beta_{T-F} to its largest n and k and stacks them, and
-takes each quantity from one call per block: the dense Psi from
-``quadratic_form_matrices`` (with one batched eigensolve), g from
-``bounds.projection_energies`` and the exact log-MGFs from
-``bounds.pair_spectra``.  The padding adds only zero rows, columns and
-eigenvalues.  Only the quadrature runs per instance.  The two deficit-curve
-checks likewise draw their points in order and evaluate each block of them
-in one ``f_curve`` call.  Blocks keep working memory small: each holds a
-few hundred kilobytes.
+The four instance-based checks draw their 100 instances in order, as plain
+arrays (design entries, sorted T and F, beta_T), ``BLOCK`` at a time.  Each
+block zero-pads X_T, X_F, the mean X_T beta_T and the missed mean X_{T-F}
+beta_{T-F} to its largest n and k and stacks them, and takes each quantity
+from one call per block: the dense Psi from ``quadratic_form_matrices``
+(with one batched eigensolve), g from ``bounds.projection_energies`` and the
+exact log-MGFs from ``bounds.pair_spectra``.  The padding adds only zero
+rows, columns and eigenvalues.  Only the quadrature runs per instance.  The
+two deficit-curve checks likewise draw their points in order and evaluate
+each block of them in one ``f_curve`` call.  Blocks keep working memory
+small: each holds a few hundred kilobytes.
 
-The Chernoff grid is built and scanned ``SAMPLE_BLOCK`` points at a time,
-never as one array, so working memory stays bounded whatever the grid size.
+The 10^6-point Chernoff grid is never built: a coarse pass over every
+``CHERNOFF_STRIDE``-th point and a fine pass over the <= 2001 points around
+its minimum find numpy's first argmin over the grid, as the rate is convex.
 """
 
 from __future__ import annotations
@@ -52,24 +53,16 @@ from .bounds import (
     spectral_log_mgf,
 )
 from .errors import DomainError
-from .model import (
-    DesignMatrix,
-    SparseSignal,
-    SparsityPattern,
-    column_space_basis,
-    make_pattern,
-    pattern_difference,
-)
+from .model import DesignMatrix, SparsityPattern, column_space_basis
 
 DEFAULT_VERIFY_SEED = 20260811
-
-#: Points per slice of the Chernoff grid; the minimum is accumulated slice by
-#: slice, so memory stays bounded whatever the grid size.
-SAMPLE_BLOCK = 1 << 13
 
 #: The Chernoff grid: ``np.linspace(*CHERNOFF_GRID)``, open at both ends of
 #: the rate's domain (-1/2, 1/2).
 CHERNOFF_GRID = (-0.5 + 1e-6, 0.5 - 1e-6, 1_000_000)
+
+#: Stride of the coarse pass over the Chernoff grid.
+CHERNOFF_STRIDE = 1000
 
 #: Validity range of the quadrature oracle.  Up to a constant, the weight
 #: exp(-x^2/2) times exp(a (nu + x)^2) is a normal density with mean
@@ -156,21 +149,21 @@ def quadrature_log_mgf(a: np.ndarray, nu: np.ndarray) -> np.ndarray:
 
 
 def _random_instance(gen: np.random.Generator):
-    """A random (design, signal, T, F) tuple with F != T, k <= 4 and n <= 32."""
+    """The raw draws of a random instance with F != T, k <= 4 and n <= 32: the
+    n x p design entries, sorted T and F, and beta_T with |beta_i| >= 0.5."""
     k = int(gen.integers(1, 5))
     n = int(gen.integers(max(4, 2 * k), 33))
     p = int(gen.integers(k + 2, 2 * k + 6))
-    design = DesignMatrix(entries=gen.standard_normal((n, p)))
-    t_idx = sorted(gen.choice(p, size=k, replace=False).tolist())
+    entries = gen.standard_normal((n, p))
+    t = gen.choice(p, size=k, replace=False)
+    t.sort()
     while True:
-        f_idx = sorted(gen.choice(p, size=k, replace=False).tolist())
-        if f_idx != t_idx:
+        f = gen.choice(p, size=k, replace=False)
+        f.sort()
+        if (f != t).any():
             break
-    t_patt = make_pattern(t_idx, p)
-    f_patt = make_pattern(f_idx, p)
-    values = gen.uniform(0.5, 3.0, size=k) * gen.choice([-1.0, 1.0], size=k)
-    signal = SparseSignal(pattern=t_patt, values=values)
-    return design, signal, t_patt, f_patt
+    beta = gen.uniform(0.5, 3.0, size=k) * gen.choice([-1.0, 1.0], size=k)
+    return entries, t, f, beta
 
 
 class _Block(NamedTuple):
@@ -193,54 +186,60 @@ def _blocks(count: int, draw: Callable[[], tuple]) -> Iterator[list[tuple]]:
 
 def _instance_blocks(gen: np.random.Generator) -> Iterator[_Block]:
     """The ``INSTANCES`` random instances of ``gen``, drawn in order and
-    stacked ``BLOCK`` at a time.  Each instance's rows are read through the
-    model's accessors, so its missed mean is the v of ``projection_energy``."""
+    stacked ``BLOCK`` at a time.  The missed mean is X_{T-F} beta_{T-F}, the
+    v of ``projection_energy``, with T - F in increasing order."""
     for instances in _blocks(INSTANCES, lambda: _random_instance(gen)):
-        n = max(design.n for design, *_ in instances)
-        k = max(len(t_patt) for _, _, t_patt, _ in instances)
+        n = max(entries.shape[0] for entries, *_ in instances)
+        k = max(len(t) for _, t, _, _ in instances)
         xt, xf = np.zeros((2, len(instances), n, k))
         mu, miss = np.zeros((2, len(instances), n))
         d = np.empty(len(instances), dtype=int)
-        for i, (design, signal, t_patt, f_patt) in enumerate(instances):
-            diff = pattern_difference(t_patt, f_patt)
-            sub_t = design.submatrix(t_patt)
+        for i, (entries, t, f, beta) in enumerate(instances):
+            missed = (t[:, None] != f).all(axis=1)
+            sub_t = entries[:, t]
             rows, cols = sub_t.shape
             xt[i, :rows, :cols] = sub_t
-            xf[i, :rows, :cols] = design.submatrix(f_patt)
-            mu[i, :rows] = sub_t @ signal.values
-            miss[i, :rows] = design.submatrix(diff) @ signal.values_on(diff)
-            d[i] = len(diff)
+            xf[i, :rows, :cols] = entries[:, f]
+            mu[i, :rows] = sub_t @ beta
+            miss[i, :rows] = entries[:, t[missed]] @ beta[missed]
+            d[i] = np.count_nonzero(missed)
         yield _Block(xt, xf, mu, miss, d)
 
 
-def _grid_slice(lo: float, hi: float | np.ndarray, num: int, start: int, stop: int) -> np.ndarray:
-    """Points ``start:stop`` of ``np.linspace(lo, hi, num)``, bit for bit, built
-    with linspace's own arithmetic (index times step, plus ``lo``; the last
-    point is ``hi``) without the rest of the grid.  A column of endpoints
-    ``hi``, shaped (m, 1), gives one such row per endpoint."""
+def _grid_slice(lo: float, hi: float | np.ndarray, num: int, start: int, stop: int,
+                stride: int = 1) -> np.ndarray:
+    """Points ``start:stop:stride`` of ``np.linspace(lo, hi, num)``, bit for
+    bit, built with linspace's own arithmetic (index times step, plus ``lo``;
+    the last point is ``hi``) without the rest of the grid.  A column of
+    endpoints ``hi``, shaped (m, 1), gives one such row per endpoint."""
     step = np.subtract(hi, lo, dtype=float) / (num - 1)
-    ts = np.arange(start, stop, dtype=float) * step + lo
-    if stop == num:
+    index = np.arange(start, stop, stride)
+    ts = index * step + lo
+    if index[-1] == num - 1:
         ts[..., -1:] = hi
     return ts
 
 
-def check_chernoff_constants(c_override: float | None = None) -> CheckResult:
-    """Grid-minimize 2t^2/(1-2t) - t over (-0.5, 0.5) and compare the constants.
-
-    The grid is built and evaluated ``SAMPLE_BLOCK`` points at a time; the
-    strict ``<`` across slices keeps the first minimum, as one ``argmin`` over
-    the grid would, and t at that minimum is read from the slice holding it.
-    """
-    c = CHERNOFF_C if c_override is None else c_override
+def _chernoff_grid_minimum() -> tuple[float, float]:
+    """(t, rate) at numpy's first argmin of the rate over ``np.linspace(*CHERNOFF_GRID)``.
+    The rate is convex (r'' = 4/(1 - 2t)^3 > 1/2) and rises far above its
+    rounding between coarse points, so that argmin lies within one
+    ``CHERNOFF_STRIDE`` of the coarse one, and the fine pass scans around it."""
     lo, hi, num = CHERNOFF_GRID
-    t_best, best = math.nan, math.inf
-    for start in range(0, num, SAMPLE_BLOCK):
-        ts = _grid_slice(lo, hi, num, start, min(start + SAMPLE_BLOCK, num))
+    start, stop = 0, num
+    for stride in (CHERNOFF_STRIDE, 1):
+        ts = _grid_slice(lo, hi, num, start, stop, stride)
         vals = 2.0 * ts * ts / (1.0 - 2.0 * ts) - ts
         j = int(np.argmin(vals))
-        if vals[j] < best:
-            t_best, best = float(ts[j]), float(vals[j])
+        i = start + j * stride
+        start, stop = max(i - stride, 0), min(i + stride + 1, num)
+    return float(ts[j]), float(vals[j])
+
+
+def check_chernoff_constants(c_override: float | None = None) -> CheckResult:
+    """Grid-minimize 2t^2/(1-2t) - t over (-0.5, 0.5) and compare the constants."""
+    c = CHERNOFF_C if c_override is None else c_override
+    t_best, best = _chernoff_grid_minimum()
     min_err = abs(best - CHERNOFF_MIN)
     t_err = abs(t_best - CHERNOFF_T_STAR)
     c_err = abs(c + CHERNOFF_MIN)

@@ -1,15 +1,25 @@
+import copy
 import inspect
 import math
 import threading
 import tracemalloc
 
 import numpy as np
+# numpy 2 imports numpy.random on first use; imported here, its ~0.5 MB of
+# import-time allocations stay out of the first traced check's memory budget.
+import numpy.random  # noqa: F401
 import pytest
 
 import supportlab.verify as verify
 from supportlab import rng
 from supportlab.errors import DomainError, ValidationError
-from supportlab.model import column_space_basis
+from supportlab.model import (
+    DesignMatrix,
+    SparseSignal,
+    column_space_basis,
+    make_pattern,
+    pattern_difference,
+)
 
 
 def _worst(result) -> float:
@@ -290,20 +300,43 @@ def test_quadrature_rejects_inputs_beyond_its_accurate_range(a, nu):
         verify.quadrature_log_mgf(np.array([0.1, a]), np.array([0.0, nu]))
 
 
-@pytest.mark.parametrize("block", [verify.SAMPLE_BLOCK, 1000, 999_999])
-def test_chernoff_grid_in_blocks_equals_one_argmin_over_the_grid(monkeypatch, block):
-    # The block scan keeps numpy's first minimum over the whole grid; the
-    # detail's t_err moves by ~1e-6 per grid step, so it pins the index.
-    monkeypatch.setattr(verify, "SAMPLE_BLOCK", block)
-    ts = np.linspace(-0.5 + 1e-6, 0.5 - 1e-6, 1_000_000)
+_T_STAR = verify.CHERNOFF_T_STAR
+
+
+@pytest.mark.parametrize("grid, at", [
+    (verify.CHERNOFF_GRID, None),
+    # The rate rises over the whole grid, or falls over it.
+    ((0.2, 0.49, 1_000_001), 0),
+    ((-0.49, 0.1, 1_000_001), 1_000_000),
+    # t* sits on a point of the coarse pass.
+    ((_T_STAR - 0.3, _T_STAR + 0.3, 1_000_001), 500_000),
+    ((-0.45, 0.45, 1_234_567), None),
+], ids=["default", "min-at-left-end", "min-at-right-end", "min-on-a-coarse-point",
+        "num-not-a-multiple-of-the-stride"])
+def test_chernoff_grid_in_blocks_equals_one_argmin_over_the_grid(monkeypatch, grid, at):
+    # The bracketed scan returns the point and value of numpy's first
+    # minimum over the whole grid, bit for bit.
+    monkeypatch.setattr(verify, "CHERNOFF_GRID", grid)
+    ts = np.linspace(*grid)
     vals = 2.0 * ts * ts / (1.0 - 2.0 * ts) - ts
     i = int(np.argmin(vals))
+    assert at is None or i == at
+    assert verify._chernoff_grid_minimum() == (ts[i], vals[i])
     expected = (f"min_err={abs(vals[i] - verify.CHERNOFF_MIN):.3e} "
-                f"t_err={abs(ts[i] - verify.CHERNOFF_T_STAR):.3e} c_err=0.000e+00")
+                f"t_err={abs(ts[i] - _T_STAR):.3e} c_err=0.000e+00")
     assert verify.check_chernoff_constants().detail == expected
 
 
-@pytest.mark.parametrize("block", [verify.SAMPLE_BLOCK, 1000, 999_999])
+@pytest.mark.parametrize("start, stop, stride", [
+    (0, 1_000_000, 1000), (0, 1_000_000, 999_999), (646_000, 648_001, 1), (7, 999_998, 333),
+])
+def test_strided_grid_slices_are_linspace_points_bit_for_bit(start, stop, stride):
+    lo, hi, num = verify.CHERNOFF_GRID
+    assert np.array_equal(verify._grid_slice(lo, hi, num, start, stop, stride),
+                          np.linspace(lo, hi, num)[start:stop:stride])
+
+
+@pytest.mark.parametrize("block", [8192, 1000, 999_999])
 def test_grid_slices_join_to_linspace_bit_for_bit(block):
     # 999 999 leaves a short final slice that holds the endpoint.
     lo, hi, num = verify.CHERNOFF_GRID
@@ -337,3 +370,56 @@ def _peak_mb(check) -> float:
 def test_verify_working_memory_stays_within_its_budget(check, budget_mb):
     # A 10**6-point grid or a 10**6-row sample held whole would take 8 MB or more.
     assert _peak_mb(check) < budget_mb
+
+
+def _model_instance(gen):
+    """One instance drawn with the same generator calls as
+    ``verify._random_instance``, built as validated model objects."""
+    k = int(gen.integers(1, 5))
+    n = int(gen.integers(max(4, 2 * k), 33))
+    p = int(gen.integers(k + 2, 2 * k + 6))
+    design = DesignMatrix(entries=gen.standard_normal((n, p)))
+    t_idx = sorted(gen.choice(p, size=k, replace=False).tolist())
+    while True:
+        f_idx = sorted(gen.choice(p, size=k, replace=False).tolist())
+        if f_idx != t_idx:
+            break
+    t_patt, f_patt = make_pattern(t_idx, p), make_pattern(f_idx, p)
+    values = gen.uniform(0.5, 3.0, size=k) * gen.choice([-1.0, 1.0], size=k)
+    return design, SparseSignal(pattern=t_patt, values=values), t_patt, f_patt
+
+
+def _model_block(instances):
+    """The stacked block of ``instances``, read through the model's accessors."""
+    n = max(design.n for design, *_ in instances)
+    k = max(len(t_patt) for _, _, t_patt, _ in instances)
+    xt, xf = np.zeros((2, len(instances), n, k))
+    mu, miss = np.zeros((2, len(instances), n))
+    d = np.empty(len(instances), dtype=int)
+    for i, (design, signal, t_patt, f_patt) in enumerate(instances):
+        diff = pattern_difference(t_patt, f_patt)
+        sub_t = design.submatrix(t_patt)
+        rows, cols = sub_t.shape
+        xt[i, :rows, :cols] = sub_t
+        xf[i, :rows, :cols] = design.submatrix(f_patt)
+        mu[i, :rows] = sub_t @ signal.values
+        miss[i, :rows] = design.submatrix(diff) @ signal.values_on(diff)
+        d[i] = len(diff)
+    return verify._Block(xt, xf, mu, miss, d)
+
+
+@pytest.mark.parametrize("seed", [verify.DEFAULT_VERIFY_SEED, 0, 116, 199])
+@pytest.mark.parametrize("index", [101, 102, 103, 106])
+def test_instance_blocks_equal_the_model_route_bit_for_bit(seed, index):
+    # The four instance checks' streams: the raw-array blocks equal those
+    # built through DesignMatrix, SparsityPattern and SparseSignal, and each
+    # block leaves its generator where the model route leaves it.
+    raw_gen, model_gen = rng.stream(seed, index), rng.stream(seed, index)
+    blocks = 0
+    for block in verify._instance_blocks(raw_gen):
+        expected = _model_block([_model_instance(model_gen) for _ in block.d])
+        for name, got, want in zip(block._fields, block, expected):
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert copy.deepcopy(raw_gen).random() == copy.deepcopy(model_gen).random()
+        blocks += 1
+    assert blocks == verify.INSTANCES // verify.BLOCK
